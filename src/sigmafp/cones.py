@@ -9,7 +9,9 @@ Nonzero-intersection questions are normalised per coordinate: a cone meets a
 set in a nonzero point iff for some coordinate i and sign s the intersection
 contains a point with s*x_i >= 1.  A simplex-slice normalisation would miss
 nonzero points of non-pointed cones, where 0 is a convex combination of
-generators.
+generators.  One builder, `_normalised_lps`, writes these 2N problems
+{x >= 0, E x = 0, s (G x)_i >= 1}, and one scan, `_first_witness`, solves
+them in order; cone-meets-cone and cone-meets-subspace differ only in E and G.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lp
 from .linalg import (
@@ -29,6 +31,7 @@ from .linalg import (
     is_zero_vector,
     rank,
     subspaces_intersect_trivially,
+    vec_neg,
     vector,
     zero_vector,
 )
@@ -187,13 +190,39 @@ def _scaled_witness(
     )
 
 
+def _normalised_lps(e: Matrix, g: Matrix) -> Iterator[lp.LinearProgram]:
+    """The 2N feasibility LPs {x >= 0, E x = 0, s (G x)_i >= 1}.
+
+    x has E's columns; G covers a leading block of them (the rest count as
+    zero columns).  Ordered by coordinate i, + before -.
+    """
+    k = e.cols
+    eq_rows = [lp.constraint(row, lp.EQ, ZERO) for row in e.entries]
+    pad = zero_vector(k - g.cols)
+    for i in range(g.rows):
+        for s in (ONE, -ONE):
+            norm = lp.constraint(tuple(s * x for x in g.row(i)) + pad, lp.GE, ONE)
+            yield lp.feasibility(num_vars=k, constraints=eq_rows + [norm], nonneg_vars=range(k))
+
+
+def _first_witness(
+    problems: Iterable[lp.LinearProgram], g: Matrix, piece_index: int
+) -> Optional[IntersectionWitness]:
+    """Witness G x from the first feasible problem, with coefficients x on G's columns."""
+    for problem in problems:
+        outcome = lp.solve(problem)
+        if outcome.status == "feasible":
+            lam = outcome.point[: g.cols]
+            return _scaled_witness(g.mul_vec(lam), lam, piece_index)
+    return None
+
+
 def cones_meet_nontrivially(a: ConvexCone, b: ConvexCone) -> Optional[IntersectionWitness]:
     """A nonzero common point of a and b, or None.
 
-    Runs the 2N coordinate-normalised feasibility problems
-    {lam, mu >= 0, G_a lam = G_b mu, s (G_a lam)_i >= 1} scanning coordinates
-    in increasing order, + before -.  The witness is expressed in a's
-    generators (piece_index 0).
+    Scans the normalised LPs with E = [G_a | -G_b] and G = G_a, i.e.
+    {lam, mu >= 0, G_a lam = G_b mu, s (G_a lam)_i >= 1}.  The witness is
+    expressed in a's generators (piece_index 0).
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -202,57 +231,28 @@ def cones_meet_nontrivially(a: ConvexCone, b: ConvexCone) -> Optional[Intersecti
     # The cones live inside their linear spans; disjoint spans settle it.
     if subspaces_intersect_trivially(_cone_span(a), _cone_span(b)):
         return None
-    n = a.ambient_dim
-    ka, kb = len(a.generators), len(b.generators)
     ga, gb = _generator_matrix(a), _generator_matrix(b)
-    eq_rows = [
-        lp.constraint(ga.row(i) + tuple(-x for x in gb.row(i)), lp.EQ, ZERO) for i in range(n)
-    ]
-    for i in range(n):
-        for s in (ONE, -ONE):
-            norm = lp.constraint(
-                tuple(s * x for x in ga.row(i)) + zero_vector(kb), lp.GE, ONE
-            )
-            problem = lp.feasibility(
-                num_vars=ka + kb,
-                constraints=eq_rows + [norm],
-                nonneg_vars=range(ka + kb),
-            )
-            outcome = lp.solve(problem)
-            if outcome.status == "feasible":
-                lam = outcome.point[:ka]
-                return _scaled_witness(ga.mul_vec(lam), lam, 0)
-    return None
+    n = a.ambient_dim
+    e = Matrix(n, ga.cols + gb.cols, tuple(ga.row(i) + vec_neg(gb.row(i)) for i in range(n)))
+    return _first_witness(_normalised_lps(e, ga), ga, 0)
 
 
 def piece_subspace_lps(piece: ConvexCone, w: Subspace) -> list[lp.LinearProgram]:
-    """The 2N coordinate-normalised LPs deciding piece-meets-subspace.
+    """The 2N normalised LPs deciding piece-meets-subspace: E = K G, where
+    K x = 0 cuts out w.
 
     Exposed so the infeasibility <=> valid-Farkas equivalence can be checked
-    directly; `union_meets_subspace` answers the same question.
+    directly; `union_meets_subspace` scans these same problems.
     """
-    k = len(piece.generators)
     g = _generator_matrix(piece)
-    kg = constraint_rows(w).mul(g)
-    eq_rows = [lp.constraint(kg.row(i), lp.EQ, ZERO) for i in range(kg.rows)]
-    problems = []
-    for i in range(piece.ambient_dim):
-        for s in (ONE, -ONE):
-            norm = lp.constraint(tuple(s * x for x in g.row(i)), lp.GE, ONE)
-            problems.append(
-                lp.feasibility(
-                    num_vars=k, constraints=eq_rows + [norm], nonneg_vars=range(k)
-                )
-            )
-    return problems
+    return list(_normalised_lps(constraint_rows(w).mul(g), g))
 
 
 def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitness]:
     """First nonzero point of (union pieces) intersected with the subspace w.
 
-    Membership in w is encoded through its kernel equations K x = 0.  The scan
-    order (piece index, then coordinate, then + before -) fixes the witness
-    deterministically.
+    The scan order (piece index, then coordinate, then + before -) fixes the
+    witness deterministically.
     """
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -261,13 +261,11 @@ def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitn
             continue
         if subspaces_intersect_trivially(_cone_span(piece), w):
             continue
-        ka = len(piece.generators)
-        g = _generator_matrix(piece)
-        for problem in piece_subspace_lps(piece, w):
-            outcome = lp.solve(problem)
-            if outcome.status == "feasible":
-                lam = outcome.point[:ka]
-                return _scaled_witness(g.mul_vec(lam), lam, piece_index)
+        witness = _first_witness(
+            piece_subspace_lps(piece, w), _generator_matrix(piece), piece_index
+        )
+        if witness is not None:
+            return witness
     return None
 
 
@@ -288,6 +286,3 @@ def union_is_tame(u: ConeUnion) -> bool:
 def union_dim(u: ConeUnion) -> int:
     return max((cone_dim(p) for p in u.pieces), default=0)
 
-
-def union_neg(u: ConeUnion) -> ConeUnion:
-    return ConeUnion(u.ambient_dim, tuple(cone_neg(p) for p in u.pieces))

@@ -63,7 +63,6 @@ from .linalg import (
     rank,
     rref,
     submatrix_columns,
-    subspaces_intersect_trivially,
     vec_add,
     vec_neg,
     vec_scale,
@@ -84,6 +83,7 @@ ONE = Fraction(1)
 
 _BOX_STREAM = 0x424F58  # substream label for box sampling
 _SAMPLE_DENOM = 1 << 16
+_NOT_FP = "certificates exist only for FP points"
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,21 @@ class FpDecision:
     witness: Optional[IntersectionWitness]
 
 
+def _require_vsp(pt: SubspacePoint, p: ProductSpace) -> None:
+    if not is_virtual_subdirect(pt, p):
+        raise NotVirtualSubdirect(
+            "the subspace meets a factor block nontrivially; the finite "
+            "presentability criterion does not apply"
+        )
+
+
 def is_finitely_presented(pt: SubspacePoint, gamma: ConeUnion, p: ProductSpace) -> FpDecision:
     """Decide finite presentability of the point: is Gamma cap S = {0}?
 
     The point must be a virtual subdirect product (the decision criterion's
     hypothesis); otherwise NotVirtualSubdirect is raised.
     """
-    if not is_virtual_subdirect(pt, p):
-        raise NotVirtualSubdirect(
-            "the subspace meets a factor block nontrivially; the finite "
-            "presentability criterion does not apply"
-        )
+    _require_vsp(pt, p)
     witness = union_meets_subspace(gamma, pt.subspace)
     return FpDecision(finitely_presented=witness is None, witness=witness)
 
@@ -149,7 +153,8 @@ def _slice_distance(piece: ConvexCone, w: Subspace) -> Fraction:
         nonneg_vars=frozenset(range(g)),
     )
     outcome = lp.solve(problem)
-    assert outcome.status == "optimal"
+    if outcome.status != "optimal":
+        raise RuntimeError(f"internal error: slice distance LP ended {outcome.status}")
     return outcome.value
 
 
@@ -165,7 +170,8 @@ def _vsp_margin_for_block(w: Subspace, block: Subspace) -> Optional[Fraction]:
     _, cols = rref(stacked)
     square = submatrix_columns(stacked, cols)
     d = det(square)
-    assert d != 0
+    if d == 0:
+        raise RuntimeError("internal error: the stacked pivot minor vanishes")
     pivot_set = set(w.pivot_columns)
     total = ZERO
     for r in range(w.dim):
@@ -182,30 +188,33 @@ def openness_certificate(
 ) -> OpennessCertificate:
     """Certify an FP verdict as stable under small chart perturbations.
 
-    Per pointed piece, the compact slice conv(generators) sits at a positive
-    exact distance d from the subspace; since RREF coefficients are read off
-    pivot coordinates, an intersection after a delta-perturbation would force
-    that distance below l * R0 * delta, so d / (2 l R0) is a sound bound.
-    The virtual-subdirect margin bounds the drift of a nonvanishing stacked
-    minor.  Pieces containing a line admit no slice argument and are refused;
-    the FP decision itself stays exact either way.
+    Per pointed piece, the compact slice conv(generators) sits at an exact
+    distance d from the subspace, and d is 0 exactly when the piece meets the
+    subspace nontrivially, so these distances also decide FP.  Since RREF
+    coefficients are read off pivot coordinates, an intersection after a
+    delta-perturbation would force a positive d below l * R0 * delta, so
+    d / (2 l R0) is a sound bound.  The virtual-subdirect margin bounds the
+    drift of a nonvanishing stacked minor.  Pieces containing a line admit
+    no slice argument and are refused; the FP decision itself stays exact
+    either way.  Errors take precedence in the order NotVirtualSubdirect,
+    NotFinitelyPresented, NonPointedPiece.
     """
-    decision = is_finitely_presented(pt, gamma, p)
-    if not decision.finitely_presented:
-        raise NotFinitelyPresented("certificates exist only for FP points")
-    for piece in gamma.pieces:
+    _require_vsp(pt, p)
+    l = pt.subspace.dim
+    per_piece: list[tuple[int, Fraction]] = []
+    bounds: list[Fraction] = []
+    for idx, piece in enumerate(gamma.pieces):
         if cone_contains_line(piece):
+            if not is_finitely_presented(pt, gamma, p).finitely_presented:
+                raise NotFinitelyPresented(_NOT_FP)
             raise NonPointedPiece(
                 "a piece of Gamma contains a line; no perturbation certificate "
                 "is available (the decision itself remains exact)"
             )
-    l = pt.subspace.dim
-    per_piece: list[tuple[int, Fraction]] = []
-    bounds: list[Fraction] = []
-    if l > 0:
-        for idx, piece in enumerate(gamma.pieces):
+        if l > 0:
             dist = _slice_distance(piece, pt.subspace)
-            assert dist > 0
+            if dist == 0:
+                raise NotFinitelyPresented(_NOT_FP)
             per_piece.append((idx, dist))
             r0 = max(linf_norm(gen) for gen in piece.generators)
             bounds.append(dist / (2 * l * r0))
@@ -467,17 +476,16 @@ def construct_nonfp_witness(p: ProductSpace, k: int) -> SubspacePoint:
     rows = [vec_add(chi, psi)]
     target = p.total_dim - k
 
-    def extended(candidate_rows: list[Vector]) -> Optional[Subspace]:
+    def extended(candidate_rows: list[Vector]) -> Optional[SubspacePoint]:
         space = Subspace.span(candidate_rows, ambient_dim=p.total_dim)
         if space.dim != len(candidate_rows):
             return None
-        for b in range(len(p.factors)):
-            if not subspaces_intersect_trivially(space, block_subspace(p, b)):
-                return None
-        return space
+        grown = SubspacePoint(space, p.total_dim - space.dim)
+        return grown if is_virtual_subdirect(grown, p) else None
 
-    space = extended(rows)
-    assert space is not None  # the seed ray spans two blocks
+    pt = extended(rows)
+    if pt is None:  # the seed ray spans two blocks
+        raise RuntimeError("internal error: the seed ray meets a factor block")
     cap = p.total_dim * p.total_dim * (len(p.factors) + 2)
     for candidate in _extension_candidates(p.total_dim, cap):
         if len(rows) == target:
@@ -485,10 +493,9 @@ def construct_nonfp_witness(p: ProductSpace, k: int) -> SubspacePoint:
         grown = extended(rows + [candidate])
         if grown is not None:
             rows.append(candidate)
-            space = grown
+            pt = grown
     if len(rows) != target:
         raise RuntimeError("internal error: basis extension did not complete")
-    pt = subspace_point(space, k)
     gamma = build_gamma(assemble_sigma(p))
     decision = is_finitely_presented(pt, gamma, p)  # also re-checks vsp
     if decision.finitely_presented:
@@ -548,18 +555,14 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
     piece = next(pc for pc in gamma.pieces if cone_dim(pc) > k)
     d = cone_dim(piece)
     b = _greedy_independent(list(piece.generators), d, n)
-    assert len(b) == d
+    if len(b) != d:
+        raise RuntimeError("internal error: fewer independent generators than the cone dimension")
+    units = [tuple(ONE if i == c else ZERO for i in range(n)) for c in range(n)]
+    completion = _greedy_independent(b + units, n, n)[d:]
     b1, b2 = b[:k], b[k:]
-    completion = []
-    for c in range(n):
-        if len(b2) + len(completion) + len(b1) == n:
-            break
-        e_c = tuple(ONE if i == c else ZERO for i in range(n))
-        trial = b2 + completion + [e_c] + b1
-        if rank(Matrix.from_rows(trial, cols=n)) == len(trial):
-            completion.append(e_c)
     basis_rows = b2 + completion + b1
-    assert len(basis_rows) == n
+    if len(basis_rows) != n:
+        raise RuntimeError("internal error: basis completion did not reach full rank")
     basis = Matrix.from_rows(basis_rows)
     l = n - k
     ones = Matrix.from_rows([[ONE] * k for _ in range(l)], cols=k)
@@ -601,10 +604,12 @@ def _measure_chunk(args) -> tuple[int, int]:
     vsp_failures = 0
     nonfp = 0
     for index in range(start, stop):
-        pt = sample_point(p, k, seed, index)
-        if not is_virtual_subdirect(pt, p):
+        try:
+            decision = is_finitely_presented(sample_point(p, k, seed, index), gamma, p)
+        except NotVirtualSubdirect:
             vsp_failures += 1
-        elif union_meets_subspace(gamma, pt.subspace) is not None:
+            continue
+        if not decision.finitely_presented:
             nonfp += 1
     return vsp_failures, nonfp
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Any
@@ -29,12 +29,16 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         raise ProblemFormatError(
             f"{where}: expected a rational string like '3' or '-2/5', got {text!r}"
         )
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ProblemFormatError(f"{where}: zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise ProblemFormatError(
+            f"{where}: rational string of {len(text)} characters is too long"
+        ) from None
+    if den == 0:
+        raise ProblemFormatError(f"{where}: zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -44,6 +48,11 @@ def format_rational(x: Fraction) -> str:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ProblemFormatError(message)
+
+
+def _is_positive_int(value: Any) -> bool:
+    # bool is a subclass of int, but JSON true is not a count
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _loads(text: str) -> Any:
@@ -67,7 +76,7 @@ def parse_problem(text: str) -> ProductSpace:
         name = raw.get("name", f"factor{fi}")
         _expect(isinstance(name, str), f"{where}.name: must be a string")
         rank = raw.get("rank")
-        _expect(isinstance(rank, int) and rank >= 1, f"{where}.rank: must be a positive integer")
+        _expect(_is_positive_int(rank), f"{where}.rank: must be a positive integer")
         raw_sigma = raw.get("sigma_c")
         _expect(isinstance(raw_sigma, list), f"{where}.sigma_c: must be a list of pieces")
         pieces: list[ConvexCone] = []
@@ -125,7 +134,7 @@ def parse_subspace(text: str, ambient_dim: int | None = None) -> Subspace:
         rows.append([parse_rational(e, f"{where}[{ei}]") for ei, e in enumerate(raw_row)])
     file_dim = data.get("ambient_dim")
     if file_dim is not None:
-        _expect(isinstance(file_dim, int) and file_dim >= 1, "'ambient_dim' must be a positive integer")
+        _expect(_is_positive_int(file_dim), "'ambient_dim' must be a positive integer")
         if ambient_dim is not None:
             _expect(file_dim == ambient_dim, f"ambient_dim {file_dim} does not match the problem dimension {ambient_dim}")
         ambient_dim = file_dim
@@ -167,35 +176,7 @@ class MeasureReport:
 
 
 def serialize_report(report: MeasureReport) -> str:
-    data = {
-        "k": report.k,
-        "samples": report.samples,
-        "seed": report.seed,
-        "vsp_failures": report.vsp_failures,
-        "nonfp_count": report.nonfp_count,
-        "theorem_a_applicable": report.theorem_a_applicable,
-        "gamma_dim": report.gamma_dim,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def parse_report(text: str) -> MeasureReport:
-    data = _loads(text)
-    _expect(isinstance(data, dict), "top level must be an object")
-    fields = (
-        "k",
-        "samples",
-        "seed",
-        "vsp_failures",
-        "nonfp_count",
-        "theorem_a_applicable",
-        "gamma_dim",
-        "elapsed_ms",
-    )
-    for f in fields:
-        _expect(f in data, f"missing report field {f!r}")
-    return MeasureReport(**{f: data[f] for f in fields})
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def fixture_text(name: str) -> str:

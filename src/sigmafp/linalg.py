@@ -4,6 +4,10 @@ Every coordinate is a `fractions.Fraction`, so ranks, kernels, and equality
 tests are exact.  A subspace is always stored through its reduced row-echelon
 basis, which makes the representation canonical: two subspaces are equal iff
 their stored bases are entry-wise equal.
+
+One Gauss-Jordan elimination kernel, `_eliminate`, sits behind `rref`, `det`
+and `inverse`: the determinant is the signed product of the pivots it meets,
+and the inverse is the right half of the reduced `[M | I]`.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ def zero_vector(n: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Fraction, v: Vector) -> Vector:
@@ -89,9 +89,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in stack")
@@ -110,32 +107,49 @@ class Matrix:
         return Matrix(self.rows, other.cols, data)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row-echelon form with zero rows removed, plus pivot columns.
+def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[Fraction], int]:
+    """Gauss-Jordan on the first ncols columns of work, in place.
 
-    Idempotent: rref(rref(m)) == rref(m).
+    Each column's pivot is its first nonzero entry at or below the current
+    row.  Returns the pivot columns, each pivot's value before its row is
+    normalised, and the parity of the row swaps.  Reduced rows come first.
     """
-    work = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+    nrows = len(work)
     pivots: list[int] = []
+    values: list[Fraction] = []
+    parity = 0
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            parity ^= 1
+        value = work[r][c]
+        inv = 1 / value
         work[r] = [inv * a for a in work[r]]
         for i in range(nrows):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivots.append(c)
+        values.append(value)
         r += 1
-        if r == nrows:
-            break
-    reduced = tuple(tuple(row) for row in work[:r])
-    return Matrix(r, ncols, reduced), tuple(pivots)
+    return pivots, values, parity
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row-echelon form with zero rows removed, plus pivot columns.
+
+    Idempotent: rref(rref(m)) == rref(m).
+    """
+    work = [list(r) for r in m.entries]
+    pivots, _, _ = _eliminate(work, m.cols)
+    r = len(pivots)
+    return Matrix(r, m.cols, tuple(tuple(row) for row in work[:r])), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -143,25 +157,15 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant: the signed product of the elimination pivots (0 if rank-deficient)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    work = [list(r) for r in m.entries]
-    result = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    pivots, values, parity = _eliminate([list(r) for r in m.entries], m.cols)
+    if len(pivots) < m.rows:
+        return ZERO
+    result = -ONE if parity else ONE
+    for v in values:
+        result *= v
     return result
 
 
@@ -180,22 +184,14 @@ def cofactor(m: Matrix, i: int, j: int) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError on a singular input."""
+    """Exact inverse: reduce [m | I] over m's columns; raises ValueError on a singular input."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     work = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m.entries)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        work[c], work[pivot_row] = work[pivot_row], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [inv * a for a in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    pivots, _, _ = _eliminate(work, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
     return Matrix(n, n, tuple(tuple(row[n:]) for row in work))
 
 

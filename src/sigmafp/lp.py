@@ -242,7 +242,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
     phase1_cost = [ZERO] * tab.art0 + [ONE] * m
     non_artificial = list(range(tab.art0))
     status, _ = tab._run(phase1_cost, non_artificial)
-    assert status == "optimal"  # phase 1 is bounded below by zero
+    if status != "optimal":  # phase 1 is bounded below by zero
+        raise RuntimeError(f"internal error: phase 1 ended {status}")
     if tab.objective_value(phase1_cost) > 0:
         farkas = tab.farkas()
         if not verify_farkas(lp, farkas):

@@ -31,14 +31,13 @@ class FactorSpec:
     """One direct factor: its dual-space rank and its cone-complement data.
 
     The cone data is input, not computed: producing it from a group or module
-    presentation is outside this artifact.  polycyclic_hint is true exactly
-    when the union is empty (the zero set), which is the polycyclic case.
+    presentation is outside this artifact.  An empty union (the zero set) is
+    the polycyclic case.
     """
 
     name: str
     rank: int
     sigma_c: ConeUnion
-    polycyclic_hint: bool
 
 
 def factor_spec(name: str, rank: int, sigma_c: ConeUnion) -> FactorSpec:
@@ -47,7 +46,7 @@ def factor_spec(name: str, rank: int, sigma_c: ConeUnion) -> FactorSpec:
     if sigma_c.ambient_dim != rank:
         raise ValueError(f"factor {name!r}: cone data has ambient dim "
                          f"{sigma_c.ambient_dim}, expected {rank}")
-    return FactorSpec(name, rank, sigma_c, polycyclic_hint=not sigma_c.pieces)
+    return FactorSpec(name, rank, sigma_c)
 
 
 @dataclass(frozen=True)

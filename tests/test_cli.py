@@ -188,3 +188,26 @@ def test_warnings_go_to_stderr(tmp_path, capsys):
     code, out, err = run(capsys, ["gamma", str(warny)])
     assert code == 0
     assert "WARNING" in err and "WARNING" not in out
+
+
+def test_boolean_counts_rejected(tmp_path, capsys):
+    # JSON true is a Python int; it must not pass as a rank or a dimension
+    bad = tmp_path / "bool_rank.json"
+    bad.write_text(json.dumps({"factors": [{"name": "a", "rank": True, "sigma_c": []}]}))
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == 2
+    assert "rank: must be a positive integer" in err and "max rank" not in out
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"factors": [{"name": "a", "rank": 1, "sigma_c": []}]}))
+    sub = tmp_path / "bool_dim.json"
+    sub.write_text(json.dumps({"basis": [], "ambient_dim": True}))
+    code, _, err = run(capsys, ["check-vsp", str(one), "--subspace", str(sub)])
+    assert code == 2
+    assert "'ambient_dim' must be a positive integer" in err
+
+
+def test_overlong_rational_is_a_parse_error(f1, tmp_path, capsys):
+    sub = subspace_file(tmp_path, [["1" * 5000, 1]])
+    code, _, err = run(capsys, ["check-fp", f1, "--subspace", sub])
+    assert code == 2
+    assert "basis[0][0]" in err and "too long" in err

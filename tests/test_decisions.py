@@ -158,6 +158,17 @@ def test_certificate_refused_on_non_pointed_piece():
         openness_certificate(pt, gamma, p)
 
 
+def test_certificate_non_fp_beats_non_pointed_piece():
+    # the slice distances cannot decide FP when a piece contains a line, so
+    # the NotFinitelyPresented verdict must still win over the refusal
+    p = product_space([ray_factor("a", 1, (1,)), ray_factor("b", 1, (1,))])
+    gamma = cone_union([cone([(1, 1), (-1, -1)]), cone([(1, 0), (0, 1)])])
+    pt = line_point(1, 2)
+    assert not is_finitely_presented(pt, gamma, p).finitely_presented
+    with pytest.raises(NotFinitelyPresented):
+        openness_certificate(pt, gamma, p)
+
+
 def test_certificate_requires_fp():
     p, gamma = f1_setup()
     with pytest.raises(NotFinitelyPresented):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -143,3 +144,37 @@ def test_det_and_inverse():
     assert m.mul(inverse(m)) == Matrix.identity(2)
     with pytest.raises(ValueError):
         inverse(mat([[1, 2], [2, 4]]))
+
+
+def permutation_det(m):
+    """Leibniz expansion: sum over permutations of sign * product of entries."""
+    n = m.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m.entries[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def square_matrices(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
+    # small integers make singular draws common enough to exercise both branches
+    entry = st.one_of(st.integers(-2, 2).map(Fraction), small_fracs)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Matrix.from_rows(rows)
+
+
+@given(square_matrices())
+@settings(max_examples=120, deadline=None)
+def test_det_matches_permutation_expansion_and_inverse(m):
+    d = permutation_det(m)
+    assert det(m) == d
+    if d != 0:
+        assert inverse(m).mul(m) == Matrix.identity(m.rows)
+    else:
+        with pytest.raises(ValueError):
+            inverse(m)

@@ -1,0 +1,44 @@
+"""Package-level properties: no bare asserts, and `python -m sigmafp`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sigmafp
+from sigmafp.formats import fixture_text
+
+PACKAGE_DIR = Path(sigmafp.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    # soundness checks must survive `python -O`, which strips asserts
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    problem = tmp_path / "f1.json"
+    problem.write_text(fixture_text("f1"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def check_fp(rows):
+        sub = tmp_path / "s.json"
+        sub.write_text('{"basis": [%s]}' % ", ".join('["%s", "%s"]' % r for r in rows))
+        argv = [sys.executable, "-m", "sigmafp", "check-fp", str(problem), "--subspace", str(sub)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    done = check_fp([(1, 1)])
+    assert done.returncode == 0
+    assert "→ NOT finitely presented; witness ray = (1, 1) (piece 1)" in done.stdout
+    done = check_fp([(1, 0)])  # meets the first factor block
+    assert done.returncode == 3
+    assert "precondition failed" in done.stderr

@@ -187,5 +187,5 @@ def test_factor_spec_validation():
     with pytest.raises(ValueError):
         factor_spec("bad", 0, cone_union([], ambient_dim=1))
     f = polycyclic_factor("z", 3)
-    assert f.polycyclic_hint
-    assert not ray_factor("a", 1, (1,)).polycyclic_hint
+    assert not f.sigma_c.pieces
+    assert ray_factor("a", 1, (1,)).sigma_c.pieces
