@@ -2,7 +2,8 @@
 
 Verdict lines name the statement they instantiate, so runs can be audited
 against the underlying criteria.  Exit codes: 0 success, 1 usage,
-2 parse/validation, 3 violated precondition, 4 honest refusal.
+2 parse/validation, 3 violated precondition, 4 honest refusal, 5 internal
+error (a failed soundness check).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from .cones import cone_dim, union_is_tame
 from .decisions import (
+    _NOT_FP,
     construct_nonfp_box,
     construct_nonfp_witness,
     construct_rho,
@@ -164,6 +166,8 @@ def _cmd_check_fp(args) -> int:
             f"witness ray = {_fmt_vec(w.ray)} (piece {w.piece_index})"
         )
     if args.certify:
+        if not decision.finitely_presented:
+            raise NotFinitelyPresented(_NOT_FP)
         cert = openness_certificate(pt, gamma, p)
         print(f"certificate [{OPEN_CRITERION}] → δ = {format_rational(cert.delta)}")
         print(f"pivot columns: {', '.join(map(str, cert.chart_pivots)) or '-'}")
@@ -284,6 +288,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except RuntimeError as e:
+        print(e, file=sys.stderr)
+        return 5
 
 
 def run() -> None:

@@ -3,7 +3,9 @@
 A cone is the set of nonnegative rational combinations of its generator
 rays (so it always contains 0).  There is deliberately no facet
 (H-representation) machinery: every decision here reduces to exact LP
-feasibility over the generators.
+feasibility over the generators.  One LP, `cone_contains_line`, settles
+lines and antipodal pairs alike: a + b contains a line iff some nonzero x in
+a has -x in b, or a or b itself contains a line.
 
 Nonzero-intersection questions are normalised per coordinate: a cone meets a
 set in a nonzero point iff for some coordinate i and sign s the intersection
@@ -123,7 +125,7 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cone_span(c: ConvexCone) -> Subspace:
     return Subspace.span(list(c.generators), ambient_dim=c.ambient_dim)
 
@@ -272,15 +274,11 @@ def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitn
 def union_is_tame(u: ConeUnion) -> bool:
     """No antipodal pair: x and -x nonzero in the union never both occur.
 
-    Checks every pair of pieces (a, b) for a nonzero point of a cap -b; the
-    a == b case catches single pieces containing a line.  Ordered pairs are
-    redundant since x in a cap -b iff -x in b cap -a.
+    One line LP per unordered pair of pieces (a, b), a == b included: a line
+    in a + b is an antipodal pair across a and b or inside one of them.
     """
-    for i, a in enumerate(u.pieces):
-        for b in u.pieces[i:]:
-            if cones_meet_nontrivially(a, cone_neg(b)) is not None:
-                return False
-    return True
+    pairs = ((a, b) for i, a in enumerate(u.pieces) for b in u.pieces[i:])
+    return not any(cone_contains_line(cone_sum(a, b)) for a, b in pairs)
 
 
 def union_dim(u: ConeUnion) -> int:

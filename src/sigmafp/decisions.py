@@ -11,11 +11,13 @@ experiment over the Grassmannian.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cones import (
     ConeUnion,
@@ -26,8 +28,9 @@ from .cones import (
     cone_contains,
     cone_contains_line,
     cone_dim,
+    cone_neg,
+    cone_sum,
     cone_union,
-    cones_meet_nontrivially,
     union_dim,
     union_is_tame,
     union_meets_subspace,
@@ -56,8 +59,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    cofactor,
-    det,
     inverse,
     linf_norm,
     rank,
@@ -163,24 +164,25 @@ def _vsp_margin_for_block(w: Subspace, block: Subspace) -> Optional[Fraction]:
 
     Picks a nonvanishing maximal minor D of the stacked basis and bounds the
     first-order determinant drift by the cofactors of the perturbable
-    entries (the non-pivot columns of w's RREF basis).  Returns None when no
-    perturbable entry touches the minor, i.e. the minor cannot drift.
+    entries (the non-pivot columns of w's RREF basis); by Cramer's rule the
+    cofactor at (r, j) is D inv(D)[j][r], so |D| / (2 sum |cofactor|) needs
+    only inv(D).  None when no perturbable entry touches the minor.
     """
     stacked = w.basis.stack(block.basis)
     _, cols = rref(stacked)
-    square = submatrix_columns(stacked, cols)
-    d = det(square)
-    if d == 0:
-        raise RuntimeError("internal error: the stacked pivot minor vanishes")
+    try:
+        inv = inverse(submatrix_columns(stacked, cols))
+    except ValueError:
+        raise RuntimeError("internal error: the stacked pivot minor vanishes") from None
     pivot_set = set(w.pivot_columns)
     total = ZERO
     for r in range(w.dim):
         for j, c in enumerate(cols):
             if c not in pivot_set:
-                total += abs(cofactor(square, r, j))
+                total += abs(inv.entries[j][r])
     if total == 0:
         return None
-    return abs(d) / (2 * total)
+    return 1 / (2 * total)
 
 
 def openness_certificate(
@@ -188,23 +190,23 @@ def openness_certificate(
 ) -> OpennessCertificate:
     """Certify an FP verdict as stable under small chart perturbations.
 
-    Per pointed piece, the compact slice conv(generators) sits at an exact
-    distance d from the subspace, and d is 0 exactly when the piece meets the
-    subspace nontrivially, so these distances also decide FP.  Since RREF
-    coefficients are read off pivot coordinates, an intersection after a
+    Per piece, the compact slice conv(generators) sits at an exact distance
+    d from the subspace, and d is 0 exactly when the piece meets the subspace
+    nontrivially or contains a line (which admits no slice argument).  Since
+    RREF coefficients are read off pivot coordinates, an intersection after a
     delta-perturbation would force a positive d below l * R0 * delta, so
     d / (2 l R0) is a sound bound.  The virtual-subdirect margin bounds the
-    drift of a nonvanishing stacked minor.  Pieces containing a line admit
-    no slice argument and are refused; the FP decision itself stays exact
-    either way.  Errors take precedence in the order NotVirtualSubdirect,
-    NotFinitelyPresented, NonPointedPiece.
+    drift of a nonvanishing stacked minor.  Errors take precedence in the
+    order NotVirtualSubdirect, NotFinitelyPresented, NonPointedPiece; at
+    d = 0 the exact FP decision picks between the last two.
     """
     _require_vsp(pt, p)
     l = pt.subspace.dim
     per_piece: list[tuple[int, Fraction]] = []
     bounds: list[Fraction] = []
     for idx, piece in enumerate(gamma.pieces):
-        if cone_contains_line(piece):
+        dist = _slice_distance(piece, pt.subspace)
+        if dist == 0:
             if not is_finitely_presented(pt, gamma, p).finitely_presented:
                 raise NotFinitelyPresented(_NOT_FP)
             raise NonPointedPiece(
@@ -212,20 +214,13 @@ def openness_certificate(
                 "is available (the decision itself remains exact)"
             )
         if l > 0:
-            dist = _slice_distance(piece, pt.subspace)
-            if dist == 0:
-                raise NotFinitelyPresented(_NOT_FP)
             per_piece.append((idx, dist))
             r0 = max(linf_norm(gen) for gen in piece.generators)
             bounds.append(dist / (2 * l * r0))
-    vsp_margin: Optional[Fraction] = None
-    if l > 0:
-        for i in range(len(p.factors)):
-            b = _vsp_margin_for_block(pt.subspace, block_subspace(p, i))
-            if b is not None:
-                vsp_margin = b if vsp_margin is None else min(vsp_margin, b)
-    candidates = bounds + ([vsp_margin] if vsp_margin is not None else [])
-    delta = min(candidates) if candidates else ONE
+    blocks = range(len(p.factors)) if l > 0 else ()
+    margins = [_vsp_margin_for_block(pt.subspace, block_subspace(p, i)) for i in blocks]
+    vsp_margin = min((b for b in margins if b is not None), default=None)
+    delta = min(bounds + ([vsp_margin] if vsp_margin is not None else []), default=ONE)
     return OpennessCertificate(
         delta=delta,
         chart_pivots=pt.subspace.pivot_columns,
@@ -361,8 +356,10 @@ def _apply_to_union(m: Matrix, u: ConeUnion) -> ConeUnion:
 
 
 def _unions_meet_only_at_zero(u1: ConeUnion, u2: ConeUnion) -> bool:
-    return all(
-        cones_meet_nontrivially(a, b) is None for a in u1.pieces for b in u2.pieces
+    # Exact for pointed pieces only (a line in a or b also puts one in a - b):
+    # construct_rho has checked both unions tame, and rho is invertible.
+    return not any(
+        cone_contains_line(cone_sum(a, cone_neg(b))) for a in u1.pieces for b in u2.pieces
     )
 
 
@@ -443,6 +440,20 @@ def construct_rho(p: ProductSpace) -> RhoConstruction:
 # --- explicit non-FP point -------------------------------------------------
 
 
+def _greedy_rows(
+    candidates: Iterable[Vector], count: int, accept: Callable[[list[Vector]], bool]
+) -> list[Vector]:
+    """Up to `count` candidates in order, each kept iff `accept` takes it
+    together with the rows kept before it."""
+    rows: list[Vector] = []
+    for v in candidates:
+        if len(rows) == count:
+            break
+        if accept(rows + [v]):
+            rows.append(v)
+    return rows
+
+
 def _extension_candidates(n: int, cap: int) -> Iterator[Vector]:
     # Standard basis vectors first, then moment-curve vectors (1, t, t^2, ...);
     # any proper subspace contains at most n - 1 moment points, so the greedy
@@ -473,32 +484,24 @@ def construct_nonfp_witness(p: ProductSpace, k: int) -> SubspacePoint:
     i, j = nonzero[0], nonzero[1]
     chi = embed_factor(p, i, p.factors[i].sigma_c.pieces[0].generators[0])
     psi = embed_factor(p, j, p.factors[j].sigma_c.pieces[0].generators[0])
-    rows = [vec_add(chi, psi)]
-    target = p.total_dim - k
+    seed = vec_add(chi, psi)
+    n = p.total_dim
 
-    def extended(candidate_rows: list[Vector]) -> Optional[SubspacePoint]:
-        space = Subspace.span(candidate_rows, ambient_dim=p.total_dim)
-        if space.dim != len(candidate_rows):
-            return None
-        grown = SubspacePoint(space, p.total_dim - space.dim)
-        return grown if is_virtual_subdirect(grown, p) else None
+    def avoids_blocks(rows: list[Vector]) -> bool:
+        space = Subspace.span(rows, ambient_dim=n)
+        return space.dim == len(rows) and is_virtual_subdirect(
+            SubspacePoint(space, n - space.dim), p
+        )
 
-    pt = extended(rows)
-    if pt is None:  # the seed ray spans two blocks
+    cap = n * n * (len(p.factors) + 2)
+    rows = _greedy_rows(chain([seed], _extension_candidates(n, cap)), n - k, avoids_blocks)
+    if rows[:1] != [seed]:  # the seed ray spans two blocks
         raise RuntimeError("internal error: the seed ray meets a factor block")
-    cap = p.total_dim * p.total_dim * (len(p.factors) + 2)
-    for candidate in _extension_candidates(p.total_dim, cap):
-        if len(rows) == target:
-            break
-        grown = extended(rows + [candidate])
-        if grown is not None:
-            rows.append(candidate)
-            pt = grown
-    if len(rows) != target:
+    if len(rows) != n - k:
         raise RuntimeError("internal error: basis extension did not complete")
+    pt = SubspacePoint(Subspace.span(rows, ambient_dim=n), k)
     gamma = build_gamma(assemble_sigma(p))
-    decision = is_finitely_presented(pt, gamma, p)  # also re-checks vsp
-    if decision.finitely_presented:
+    if is_finitely_presented(pt, gamma, p).finitely_presented:  # also re-checks vsp
         raise RuntimeError("internal error: constructed point decided FP")
     return pt
 
@@ -515,14 +518,8 @@ class NonFpBox:
     sample_points: tuple[SubspacePoint, ...]
 
 
-def _greedy_independent(vectors: list[Vector], count: int, ambient: int) -> list[Vector]:
-    chosen: list[Vector] = []
-    for v in vectors:
-        if len(chosen) == count:
-            break
-        if rank(Matrix.from_rows(chosen + [v], cols=ambient)) == len(chosen) + 1:
-            chosen.append(v)
-    return chosen
+def _independent(rows: list[Vector]) -> bool:
+    return rank(Matrix.from_rows(rows)) == len(rows)
 
 
 def box_point(box: NonFpBox, a_entries: Matrix) -> SubspacePoint:
@@ -554,11 +551,11 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
     n = p.total_dim
     piece = next(pc for pc in gamma.pieces if cone_dim(pc) > k)
     d = cone_dim(piece)
-    b = _greedy_independent(list(piece.generators), d, n)
+    b = _greedy_rows(piece.generators, d, _independent)
     if len(b) != d:
         raise RuntimeError("internal error: fewer independent generators than the cone dimension")
     units = [tuple(ONE if i == c else ZERO for i in range(n)) for c in range(n)]
-    completion = _greedy_independent(b + units, n, n)[d:]
+    completion = _greedy_rows(b + units, n, _independent)[d:]
     b1, b2 = b[:k], b[k:]
     basis_rows = b2 + completion + b1
     if len(basis_rows) != n:
@@ -569,7 +566,6 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
     box_chart = chart(basis, ones)
     samples: list[SubspacePoint] = []
     for sample_index in range(10):
-        pt = None
         for attempt in range(64):
             stream = CounterStream(0, _BOX_STREAM, sample_index, attempt)
             entries = [
@@ -581,14 +577,12 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
             ]
             candidate = chart_to_point(chart(basis, Matrix.from_rows(entries, cols=k)))
             if is_virtual_subdirect(candidate, p):
-                pt = candidate
                 break
-        if pt is None:
+        else:
             raise RuntimeError("internal error: box sampling kept hitting blocks")
-        decision = is_finitely_presented(pt, gamma, p)
-        if decision.finitely_presented:
+        if is_finitely_presented(candidate, gamma, p).finitely_presented:
             raise RuntimeError("internal error: box sample decided FP")
-        samples.append(pt)
+        samples.append(candidate)
     return NonFpBox(
         chart=box_chart,
         description="all entries of A strictly positive within (0, 1] per entry",
@@ -614,6 +608,14 @@ def _measure_chunk(args) -> tuple[int, int]:
     return vsp_failures, nonfp
 
 
+def _sample_ranges(samples: int, jobs: int, cpus: int) -> list[tuple[int, int]]:
+    """Sample index ranges, one per worker process: no more than `jobs`,
+    than `cpus`, or than one per two samples; a single range runs serially."""
+    workers = max(1, min(jobs, cpus, samples // 2))
+    step = max(1, -(-samples // workers))
+    return [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
+
+
 def run_measure_experiment(
     p: ProductSpace, k: int, samples: int, seed: int, jobs: int = 1
 ) -> MeasureReport:
@@ -624,19 +626,17 @@ def run_measure_experiment(
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
     started = time.perf_counter()
     gamma = build_gamma(assemble_sigma(p))
     applicable = theorem_a_applicable(p, gamma, k)  # validates the k range
-    jobs = max(1, jobs)
-    if jobs == 1 or samples < 2 * jobs:
-        counts = [_measure_chunk((p, gamma, k, seed, 0, samples))]
+    ranges = _sample_ranges(samples, jobs, os.cpu_count() or 1)
+    chunks = [(p, gamma, k, seed, lo, hi) for lo, hi in ranges]
+    if len(chunks) < 2:
+        counts = [_measure_chunk(chunk) for chunk in chunks]
     else:
-        step = -(-samples // jobs)
-        chunks = [
-            (p, gamma, k, seed, lo, min(lo + step, samples))
-            for lo in range(0, samples, step)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             counts = list(pool.map(_measure_chunk, chunks))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return MeasureReport(

@@ -117,4 +117,4 @@ def sample_point(p: ProductSpace, k: int, seed: int, index: int) -> SubspacePoin
         space = Subspace.span(sample_rows(l, n, seed, index, attempt), ambient_dim=n)
         if space.dim == l:
             return SubspacePoint(space, k)
-    raise RuntimeError("degenerate sampler")
+    raise RuntimeError("internal error: degenerate sampler")

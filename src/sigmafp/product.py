@@ -86,7 +86,7 @@ def embed_factor(p: ProductSpace, i: int, x: Iterable) -> Vector:
     return zero_vector(start) + v + zero_vector(p.total_dim - stop)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def block_subspace(p: ProductSpace, i: int) -> Subspace:
     start, stop = p.blocks[i]
     rows = []

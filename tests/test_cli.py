@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sigmafp import cli
 from sigmafp.cli import main
 from sigmafp.formats import fixture_text
 
@@ -211,3 +212,34 @@ def test_overlong_rational_is_a_parse_error(f1, tmp_path, capsys):
     code, _, err = run(capsys, ["check-fp", f1, "--subspace", sub])
     assert code == 2
     assert "basis[0][0]" in err and "too long" in err
+
+
+def test_certify_skipped_on_nonfp_point(f1, tmp_path, capsys, monkeypatch):
+    def not_called(*args):
+        raise AssertionError("a certificate was attempted on a non-FP point")
+
+    monkeypatch.setattr(cli, "openness_certificate", not_called)
+    sub = subspace_file(tmp_path, [[1, 1]])
+    code, out, err = run(capsys, ["check-fp", f1, "--subspace", sub, "--certify"])
+    assert code == 3
+    assert "NOT finitely presented; witness ray = (1, 1)" in out
+    assert err == "precondition failed: certificates exist only for FP points\n"
+
+
+def test_internal_error_exit_code(f1, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("internal error: constructed point decided FP")
+
+    monkeypatch.setattr(cli, "construct_nonfp_witness", broken)
+    code, out, err = run(capsys, ["nonfp-witness", f1, "--k", "1"])
+    assert (code, out) == (5, "")
+    assert err == "internal error: constructed point decided FP\n"
+
+
+def test_measure_seed_out_of_range_exit_code(f1, capsys):
+    base = ["measure", f1, "--k", "1", "--samples", "5", "--seed"]
+    for seed in ("-1", str(1 << 64)):
+        code, out, err = run(capsys, base + [seed])
+        assert (code, out) == (1, "")
+        assert err == "usage error: seed must lie in [0, 2**64)\n"
+    assert run(capsys, base + [str((1 << 64) - 1)])[0] == 0

@@ -131,9 +131,20 @@ def test_union_meets_zero_and_full_subspace():
 def test_union_is_tame():
     assert union_is_tame(cone_union([cone([(1, 0)]), cone([(0, 1)])]))
     assert not union_is_tame(cone_union([cone([(1, 0)]), cone([(-1, 0)])]))
+    # the quadrant holds (1, 1), the other piece its negative
+    assert not union_is_tame(cone_union([cone([(1, 0), (0, 1)]), cone([(-1, -1)])]))
     # sector of angle pi/4 contains no antipodal pair
     assert union_is_tame(cone_union([cone([(1, 0), (1, 1)])]))
     assert union_is_tame(cone_union([], ambient_dim=2))
+
+
+def test_union_is_tame_solves_one_lp_per_piece_pair(solved_lps):
+    u = cone_union(
+        [cone([(1, 0, 0), (0, 1, 0)]), cone([(0, 0, 1)]), cone([(1, 1, 1)]), cone([(2, 1, 0)])]
+    )
+    assert union_is_tame(u)
+    m = len(u.pieces)
+    assert len(solved_lps) == m * (m + 1) // 2
 
 
 def test_union_dim():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sigmafp import decisions, linalg
 from sigmafp.cones import (
     cone,
     cone_contains,
@@ -30,6 +31,7 @@ from sigmafp.grassmann import is_virtual_subdirect, subspace_point
 from sigmafp.linalg import Matrix, Subspace
 from sigmafp.product import (
     assemble_sigma,
+    block_subspace,
     build_gamma,
     factor_spec,
     product_space,
@@ -167,6 +169,43 @@ def test_certificate_non_fp_beats_non_pointed_piece():
     assert not is_finitely_presented(pt, gamma, p).finitely_presented
     with pytest.raises(NotFinitelyPresented):
         openness_certificate(pt, gamma, p)
+
+
+def test_certificate_solves_one_lp_per_piece_on_fp_point(solved_lps):
+    p, gamma = f1_setup()
+    cert = openness_certificate(line_point(1, -1), gamma, p)
+    assert len(gamma.pieces) == 3
+    assert len(solved_lps) == len(gamma.pieces) == len(cert.per_piece_distance)
+
+
+def test_vsp_margin_equals_cofactor_bound_without_determinants(monkeypatch):
+    from sigmafp.grassmann import sample_point
+
+    p = load_fixture("f4")
+    checked = 0
+    for index in range(12):
+        pt = sample_point(p, 2, seed=5, index=index)
+        if not is_virtual_subdirect(pt, p):
+            continue
+        for i in range(len(p.factors)):
+            w, block = pt.subspace, block_subspace(p, i)
+            stacked = w.basis.stack(block.basis)
+            _, cols = linalg.rref(stacked)
+            square = linalg.submatrix_columns(stacked, cols)
+            total = sum(
+                abs(linalg.cofactor(square, r, j))
+                for r in range(w.dim)
+                for j, c in enumerate(cols)
+                if c not in w.pivot_columns
+            )
+            expected = abs(linalg.det(square)) / (2 * total) if total else None
+            with monkeypatch.context() as m:
+                for name in ("det", "cofactor"):
+                    m.setattr(linalg, name, None)
+                    m.setattr(decisions, name, None, raising=False)
+                assert decisions._vsp_margin_for_block(w, block) == expected
+            checked += 1
+    assert checked >= 10
 
 
 def test_certificate_requires_fp():
@@ -392,6 +431,36 @@ def test_box_point_validates_range():
 
 
 # --- measure experiment ------------------------------------------------------
+
+
+def test_greedy_rows_keeps_accepted_candidates_in_order():
+    rows = [(F(1), F(0)), (F(2), F(0)), (F(0), F(1)), (F(1), F(1))]
+    assert decisions._greedy_rows(rows, 2, decisions._independent) == [rows[0], rows[2]]
+    assert decisions._greedy_rows(rows, 1, decisions._independent) == [rows[0]]
+    assert decisions._greedy_rows(rows[:2], 2, decisions._independent) == [rows[0]]
+
+
+def test_sample_ranges_clamp_workers():
+    def check(samples, jobs, cpus, workers):
+        ranges = decisions._sample_ranges(samples, jobs, cpus)
+        assert len(ranges) == workers
+        assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(samples))
+
+    check(1000, 10**6, 2, 2)  # one worker per CPU, whatever is asked
+    check(1000, 3, 8, 3)
+    check(7, 4, 8, 3)  # at most one worker per two samples
+    check(3, 2, 2, 1)  # serial
+    check(1000, 1, 8, 1)
+    check(1000, 0, 8, 1)
+    check(0, 4, 4, 0)
+
+
+def test_measure_rejects_seeds_outside_64_bits():
+    p, _ = f1_setup()
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            run_measure_experiment(p, k=1, samples=3, seed=seed)
+    assert run_measure_experiment(p, k=1, samples=3, seed=(1 << 64) - 1).samples == 3
 
 
 def test_measure_zero_samples():

@@ -189,3 +189,16 @@ def test_factor_spec_validation():
     f = polycyclic_factor("z", 3)
     assert not f.sigma_c.pieces
     assert ray_factor("a", 1, (1,)).sigma_c.pieces
+
+
+def test_span_caches_are_bounded():
+    from sigmafp import cones, product
+
+    for t in range(cones._cone_span.cache_info().maxsize + 5):
+        cones._cone_span(cone([(1, t)]))
+    info = cones._cone_span.cache_info()
+    assert info.currsize == info.maxsize
+    for t in range(product.block_subspace.cache_info().maxsize + 5):
+        product.block_subspace(product_space([polycyclic_factor(f"f{t}", 1)]), 0)
+    info = product.block_subspace.cache_info()
+    assert info.currsize == info.maxsize
