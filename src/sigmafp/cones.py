@@ -3,17 +3,19 @@
 A cone is the set of nonnegative rational combinations of its generator
 rays (so it always contains 0).  There is deliberately no facet
 (H-representation) machinery: every decision here reduces to exact LP
-feasibility over the generators.  One LP, `cone_contains_line`, settles
-lines and antipodal pairs alike: a + b contains a line iff some nonzero x in
-a has -x in b, or a or b itself contains a line.
+feasibility over the generators.  One slice LP {lam >= 0, sum lam = 1,
+A lam = 0} settles lines and antipodal pairs with A = G (a + b contains a
+line iff some nonzero x in a has -x in b, or a or b contains a line), and
+with A = K G, where K x = 0 cuts out a subspace, whether a pointed piece
+meets it nontrivially.  `union_meets_subspace` keeps each union's generator
+matrices, spans and pointedness in a bounded cache of compiled unions.
 
-Nonzero-intersection questions are normalised per coordinate: a cone meets a
-set in a nonzero point iff for some coordinate i and sign s the intersection
-contains a point with s*x_i >= 1.  A simplex-slice normalisation would miss
-nonzero points of non-pointed cones, where 0 is a convex combination of
-generators.  One builder, `_normalised_lps`, writes these 2N problems
-{x >= 0, E x = 0, s (G x)_i >= 1}, and one scan, `_first_witness`, solves
-them in order; cone-meets-cone and cone-meets-subspace differ only in E and G.
+A non-pointed piece has 0 on its slice, so there, and to name the witness
+once a slice LP is feasible, the question is normalised per coordinate: a
+nonzero common point exists iff one has s*x_i >= 1 for some coordinate i and
+sign s.  `_normalised_lps` writes these 2N problems {x >= 0, E x = 0,
+s (G x)_i >= 1} and `_first_witness` solves them in order; cone-meets-cone
+and cone-meets-subspace differ only in E and G.
 """
 
 from __future__ import annotations
@@ -154,17 +156,20 @@ def cone_dim(c: ConvexCone) -> int:
     return rank(Matrix.from_rows(list(c.generators)))
 
 
+def _slice_lp(a: Matrix) -> lp.LinearProgram:
+    """{lam >= 0, sum lam = 1, A lam = 0} over A's columns."""
+    k = a.cols
+    constraints = [lp.constraint([ONE] * k, lp.EQ, ONE)]
+    constraints += [lp.constraint(row, lp.EQ, ZERO) for row in a.entries]
+    return lp.feasibility(num_vars=k, constraints=constraints, nonneg_vars=range(k))
+
+
 def cone_contains_line(c: ConvexCone) -> bool:
     """True iff the cone is non-pointed: 0 is a convex combination of
     generators with coefficients summing to 1."""
-    k = len(c.generators)
-    if k == 0:
+    if not c.generators:
         return False
-    g = _generator_matrix(c)
-    constraints = [lp.constraint([ONE] * k, lp.EQ, ONE)]
-    constraints += [lp.constraint(g.row(i), lp.EQ, ZERO) for i in range(c.ambient_dim)]
-    problem = lp.feasibility(num_vars=k, constraints=constraints, nonneg_vars=range(k))
-    return lp.solve(problem).status == "feasible"
+    return lp.solve(_slice_lp(_generator_matrix(c))).status == "feasible"
 
 
 def cone_sum(a: ConvexCone, b: ConvexCone) -> ConvexCone:
@@ -244,30 +249,59 @@ def piece_subspace_lps(piece: ConvexCone, w: Subspace) -> list[lp.LinearProgram]
     K x = 0 cuts out w.
 
     Exposed so the infeasibility <=> valid-Farkas equivalence can be checked
-    directly; `union_meets_subspace` scans these same problems.
+    directly.  `union_meets_subspace` scans these same problems, but only to
+    name the witness of a pointed piece whose slice LP is feasible, and for
+    non-pointed pieces.
     """
     g = _generator_matrix(piece)
     return list(_normalised_lps(constraint_rows(w).mul(g), g))
 
 
+class _CompiledUnion:
+    """A union's nonzero pieces as (index, generator matrix, span), with
+    pointedness flags filled in the first time a piece is asked about."""
+
+    def __init__(self, u: ConeUnion):
+        self.pieces = [
+            (i, _generator_matrix(p), _cone_span(p)) for i, p in enumerate(u.pieces) if p.generators
+        ]
+        self._pointed: dict[int, bool] = {}
+
+    def pointed(self, i: int, g: Matrix, span: Subspace) -> bool:
+        # Independent generators admit no convex combination equal to 0.
+        if i not in self._pointed:
+            self._pointed[i] = span.dim == g.cols or lp.solve(_slice_lp(g)).status != "feasible"
+        return self._pointed[i]
+
+
+_compiled = lru_cache(maxsize=64)(_CompiledUnion)
+
+
 def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitness]:
     """First nonzero point of (union pieces) intersected with the subspace w.
 
-    The scan order (piece index, then coordinate, then + before -) fixes the
-    witness deterministically.
+    A pointed piece past the span prefilter costs one slice LP, infeasible
+    on an FP point.  The normalised scan runs only where that LP is feasible
+    or the piece is not pointed; its order (piece index, then coordinate,
+    then + before -) fixes the witness deterministically.
     """
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for piece_index, piece in enumerate(u.pieces):
-        if not piece.generators:
+    compiled = _compiled(u)
+    k = None
+    for piece_index, g, span in compiled.pieces:
+        if subspaces_intersect_trivially(span, w):
             continue
-        if subspaces_intersect_trivially(_cone_span(piece), w):
+        k = constraint_rows(w) if k is None else k
+        kg = k.mul(g)
+        pointed = compiled.pointed(piece_index, g, span)
+        if pointed and lp.solve(_slice_lp(kg)).status == "infeasible":
             continue
-        witness = _first_witness(
-            piece_subspace_lps(piece, w), _generator_matrix(piece), piece_index
-        )
+        witness = _first_witness(_normalised_lps(kg, g), g, piece_index)
         if witness is not None:
             return witness
+        if pointed:
+            raise RuntimeError("internal error: a feasible slice LP gave no witness")
     return None
 
 

@@ -628,6 +628,8 @@ def run_measure_experiment(
         raise ValueError("samples must be nonnegative")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     started = time.perf_counter()
     gamma = build_gamma(assemble_sigma(p))
     applicable = theorem_a_applicable(p, gamma, k)  # validates the k range

@@ -243,3 +243,20 @@ def test_measure_seed_out_of_range_exit_code(f1, capsys):
         assert (code, out) == (1, "")
         assert err == "usage error: seed must lie in [0, 2**64)\n"
     assert run(capsys, base + [str((1 << 64) - 1)])[0] == 0
+
+
+def test_measure_nonpositive_jobs_exit_code(f1, capsys):
+    for jobs in ("0", "-3"):
+        argv = ["measure", f1, "--k", "1", "--samples", "4", "--seed", "1", "--jobs", jobs]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: jobs must be positive\n"
+
+
+def test_check_fp_solves_one_slice_lp_on_f1(f1, tmp_path, capsys, solved_lps):
+    sub = subspace_file(tmp_path, [[1, -1]])
+    code, out, _ = run(capsys, ["check-fp", f1, "--subspace", sub])
+    assert code == 0
+    assert "check-fp [Lemma: Γ ∩ S° = {0}] → finitely presented" in out
+    # two tameness LPs (one per factor) and one slice LP
+    assert len(solved_lps) == 3

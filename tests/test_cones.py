@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmafp import lp
+from oracles import union_meets_subspace_oracle
+from sigmafp import cones, lp
 from sigmafp.cones import (
     canonical_ray,
     cone,
@@ -20,7 +21,7 @@ from sigmafp.cones import (
     union_is_tame,
     union_meets_subspace,
 )
-from sigmafp.linalg import Subspace, constraint_rows
+from sigmafp.linalg import Subspace, constraint_rows, subspaces_intersect_trivially
 
 F = Fraction
 
@@ -179,6 +180,42 @@ def test_meets_none_iff_all_lps_infeasible_with_farkas():
             assert lp.verify_farkas(problem, out.farkas)
 
 
+def test_slice_lp_infeasible_with_farkas_on_fp_point():
+    u = cone_union([cone([(1, 0), (0, 1)]), cone([(2, 1)])])
+    w = Subspace.span([[1, -1]])
+    assert union_meets_subspace(u, w) is None
+    for piece in u.pieces:
+        problem = cones._slice_lp(constraint_rows(w).mul(cones._generator_matrix(piece)))
+        out = lp.solve(problem)
+        assert out.status == "infeasible"
+        assert lp.verify_farkas(problem, out.farkas)
+
+
+def fp_union():
+    """Three pointed pieces pass the prefilter for span{(1, -1, 0)}, one of
+    them with dependent generators; the z-axis piece is skipped."""
+    return cone_union(
+        [
+            cone([(1, 0, 0), (0, 1, 0)]),
+            cone([(1, 0, 0), (1, 1, 0), (0, 1, 0)]),
+            cone([(0, 0, 1)]),
+            cone([(1, 0, 1), (0, 1, 1)]),
+        ]
+    )
+
+
+def test_fp_point_solves_one_slice_lp_per_pointed_piece(solved_lps):
+    cones._compiled.cache_clear()
+    w = Subspace.span([[1, -1, 0]])
+    assert union_meets_subspace(fp_union(), w) is None
+    # three slice LPs plus one line LP for the dependent generators
+    assert len(solved_lps) == 4
+    solved_lps.clear()
+    # an equal union reuses the compiled pointedness flags
+    assert union_meets_subspace(fp_union(), w) is None
+    assert len(solved_lps) == 3
+
+
 def test_dim_mismatch_errors():
     with pytest.raises(ValueError):
         cone_contains(cone([(1, 0)]), (1, 0, 0))
@@ -226,3 +263,44 @@ def test_cone_sum_contains_pairwise_sums(pair):
     for x in a.generators[:2]:
         for y in b.generators[:2]:
             assert cone_contains(s, tuple(p + q for p, q in zip(x, y)))
+
+
+@st.composite
+def line_pieces(draw, dim):
+    r = draw(rays(dim))
+    extra = draw(st.lists(rays(dim), max_size=2))
+    return cone([r, tuple(-e for e in r)] + extra, ambient_dim=dim)
+
+
+@st.composite
+def unions_and_subspaces(draw):
+    dim = draw(st.integers(2, 3))
+    pieces = draw(st.lists(st.one_of(cones_strategy(dim), line_pieces(dim)), min_size=1, max_size=3))
+    w_rows = draw(st.lists(rays(dim), min_size=1, max_size=dim - 1))
+    return cone_union(pieces, ambient_dim=dim), w_rows
+
+
+def normalised_scan(u, w):
+    """The 2N normalised LPs of every piece past the prefilter, in order."""
+    for index, piece in enumerate(u.pieces):
+        if subspaces_intersect_trivially(cones._cone_span(piece), w):
+            continue
+        g = cones._generator_matrix(piece)
+        hit = cones._first_witness(piece_subspace_lps(piece, w), g, index)
+        if hit is not None:
+            return hit
+    return None
+
+
+# dependent generators: the slice LP's vertex has other coefficients
+@example((cone_union([cone([(-1, 1), (0, 1), (1, 0)]), cone([(-3, 2), (-1, 2), (1, 2)])]), [(-1, -2)]))
+# a wedge around a line that the subspace misses: not pointed, no slice LP
+@example((cone_union([cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])]), [(0, 1, -1)]))
+@given(unions_and_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_union_meets_subspace_matches_oracle_and_normalised_scan(case):
+    u, w_rows = case
+    w = Subspace.span(w_rows, ambient_dim=u.ambient_dim)
+    hit = union_meets_subspace(u, w)
+    assert (hit is not None) == union_meets_subspace_oracle(u, w_rows)
+    assert hit == normalised_scan(u, w)

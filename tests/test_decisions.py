@@ -463,6 +463,13 @@ def test_measure_rejects_seeds_outside_64_bits():
     assert run_measure_experiment(p, k=1, samples=3, seed=(1 << 64) - 1).samples == 3
 
 
+def test_measure_rejects_nonpositive_jobs():
+    p, _ = f1_setup()
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            run_measure_experiment(p, k=1, samples=4, seed=1, jobs=jobs)
+
+
 def test_measure_zero_samples():
     p, _ = f1_setup()
     report = run_measure_experiment(p, k=1, samples=0, seed=5)
