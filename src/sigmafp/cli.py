@@ -90,10 +90,12 @@ def _load_problem(path: str):
 
 def _load_point(p, subspace_file: str):
     s = parse_subspace(_read(subspace_file), ambient_dim=p.total_dim)
-    try:
-        return subspace_point(s, k=p.total_dim - s.dim)
-    except ValueError as e:
-        raise ProblemFormatError(str(e)) from e
+    if s.dim > p.total_dim - p.max_rank:
+        raise ProblemFormatError(
+            f"subspace of dimension {s.dim} leaves k={p.total_dim - s.dim} below the maximal "
+            f"factor rank {p.max_rank}; its dimension can be at most {p.total_dim - p.max_rank}"
+        )
+    return subspace_point(s, k=p.total_dim - s.dim)
 
 
 def _cmd_validate(args) -> int:

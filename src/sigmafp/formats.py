@@ -21,11 +21,11 @@ from .errors import ProblemFormatError
 from .linalg import Subspace
 from .product import FactorSpec, ProductSpace, factor_spec, product_space
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits only, matched in full
 
 
 def parse_rational(text: Any, where: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ProblemFormatError(
             f"{where}: expected a rational string like '3' or '-2/5', got {text!r}"
         )

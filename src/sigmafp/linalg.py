@@ -5,9 +5,11 @@ tests are exact.  A subspace is always stored through its reduced row-echelon
 basis, which makes the representation canonical: two subspaces are equal iff
 their stored bases are entry-wise equal.
 
-One Gauss-Jordan elimination kernel, `_eliminate`, sits behind `rref`, `det`
-and `inverse`: the determinant is the signed product of the pivots it meets,
-and the inverse is the right half of the reduced `[M | I]`.
+One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
+package: it is the inner step of `_eliminate`, the kernel behind `rref`,
+`det` and `inverse`, and of the simplex tableau in `lp`.  The determinant is
+the signed product of the pivots `_eliminate` meets, and the inverse is the
+right half of the reduced `[M | I]`.
 """
 
 from __future__ import annotations
@@ -107,6 +109,16 @@ class Matrix:
         return Matrix(self.rows, other.cols, data)
 
 
+def pivot(work: list[list[Fraction]], r: int, c: int) -> None:
+    """Scale row r to 1 in column c, then clear column c from every other row, in place."""
+    inv = 1 / work[r][c]
+    row = work[r] = [inv * a for a in work[r]]
+    for i, other in enumerate(work):
+        if i != r and other[c] != 0:
+            f = other[c]
+            work[i] = [a - f * b for a, b in zip(other, row)]
+
+
 def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[Fraction], int]:
     """Gauss-Jordan on the first ncols columns of work, in place.
 
@@ -128,15 +140,9 @@ def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
             parity ^= 1
-        value = work[r][c]
-        inv = 1 / value
-        work[r] = [inv * a for a in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        values.append(work[r][c])
+        pivot(work, r, c)
         pivots.append(c)
-        values.append(value)
         r += 1
     return pivots, values, parity
 
@@ -169,18 +175,15 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
-def minor_det(m: Matrix, drop_row: int, drop_col: int) -> Fraction:
-    sub = tuple(
-        tuple(v for j, v in enumerate(r) if j != drop_col)
-        for i, r in enumerate(m.entries)
-        if i != drop_row
-    )
-    return det(Matrix(m.rows - 1, m.cols - 1, sub))
-
-
 def cofactor(m: Matrix, i: int, j: int) -> Fraction:
+    """(-1)^(i+j) times the determinant of m without row i and column j."""
+    minor = tuple(
+        tuple(v for c, v in enumerate(row) if c != j)
+        for r, row in enumerate(m.entries)
+        if r != i
+    )
     sign = ONE if (i + j) % 2 == 0 else -ONE
-    return sign * minor_det(m, i, j)
+    return sign * det(Matrix(m.rows - 1, m.cols - 1, minor))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -1,11 +1,17 @@
 """Exact rational linear programming with verifiable certificates.
 
-A two-phase tableau simplex over `Fraction` entries.  Bland's pivoting rule
-(lowest eligible index enters, ratio ties broken by lowest basic index)
-guarantees termination and makes every outcome deterministic.  Artificial
-variables are attached to every row, so when phase 1 ends above zero the
-phase-1 dual read off the artificial columns is a Farkas certificate of
-infeasibility; unbounded phase-2 runs return an explicit improving ray.
+A two-phase tableau simplex over `Fraction` entries.  The tableau is one
+matrix: a row per constraint over the structural, slack and artificial
+columns, each row ending in its right-hand side.  While the simplex runs, the
+reduced-cost row z sits below the constraint rows, and every pivot is
+`linalg.pivot` over all of them, the same Gauss-Jordan step that `rref` uses.
+Bland's pivoting rule (lowest eligible index enters, ratio ties broken by
+lowest basic index) guarantees termination and makes every outcome
+deterministic.  Artificial variables are attached to every row; phase 1 ends
+with -z[-1] as its optimum, and when that is above zero the phase-1 dual, read
+off the artificial columns as y_i = 1 - z[artificial i], is a Farkas
+certificate of infeasibility.  Unbounded phase-2 runs return an explicit
+improving ray.
 
 Outcomes are meant to be re-checked by substitution: `verify_point`,
 `verify_farkas`, and `verify_ray` perform those exact checks.
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vector, vec_dot, vector
+from .linalg import Vector, pivot, vec_dot, vector
 
 LE = "<="
 EQ = "="
@@ -85,7 +91,8 @@ def feasibility(num_vars, constraints, nonneg_vars=()) -> LinearProgram:
 
 
 class _Tableau:
-    """Standard-form tableau: rows are equalities over nonnegative columns."""
+    """Standard-form tableau: one row per equality over nonnegative columns,
+    with the row's right-hand side as its last entry."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -96,94 +103,67 @@ class _Tableau:
             self.col_var.append((j, 1))
             if j not in lp.nonneg_vars:
                 self.col_var.append((j, -1))
-        n_struct = len(self.col_var)
-        m = len(lp.constraints)
-        self.slack_of_row: dict[int, int] = {}
-        n_slack = 0
-        for i, c in enumerate(lp.constraints):
-            if c.relation != EQ:
-                self.slack_of_row[i] = n_struct + n_slack
-                n_slack += 1
-        self.n_struct = n_struct
-        self.n_slack = n_slack
-        self.art0 = n_struct + n_slack
-        self.n_cols = self.art0 + m  # one artificial per row
+        self.n_struct = slack = len(self.col_var)
+        self.art0 = slack + sum(c.relation != EQ for c in lp.constraints)
+        self.n_cols = self.art0 + len(lp.constraints)  # one artificial per row
         self.row_sign: list[int] = []
         self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
         self.basis: list[int] = []
         for i, c in enumerate(lp.constraints):
-            row = [ZERO] * self.n_cols
+            row = [ZERO] * (self.n_cols + 1)
             for col, (j, s) in enumerate(self.col_var):
                 row[col] = s * c.coeffs[j]
-            if c.relation == LE:
-                row[self.slack_of_row[i]] = ONE
-            elif c.relation == GE:
-                row[self.slack_of_row[i]] = -ONE
-            b = c.rhs
+            if c.relation != EQ:  # one slack per inequality, in row order
+                row[slack] = ONE if c.relation == LE else -ONE
+                slack += 1
+            row[-1] = c.rhs
             sign = 1
-            if b < 0:
+            if c.rhs < 0:
                 sign = -1
                 row = [-a for a in row]
-                b = -b
             self.row_sign.append(sign)
             row[self.art0 + i] = ONE
             self.rows.append(row)
-            self.rhs.append(b)
             self.basis.append(self.art0 + i)
 
-    def _pivot(self, r: int, col: int, zrow: list[Fraction]) -> None:
-        inv = 1 / self.rows[r][col]
-        self.rows[r] = [inv * a for a in self.rows[r]]
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][col] != 0:
-                f = self.rows[i][col]
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] -= f * self.rhs[r]
-        if zrow[col] != 0:
-            f = zrow[col]
-            for j in range(self.n_cols):
-                zrow[j] -= f * self.rows[r][j]
-        self.basis[r] = col
+    def _run(self, cost: list[Fraction], allowed: list[int]) -> tuple[str, int, list[Fraction]]:
+        """Bland simplex to optimality.
 
-    def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        zrow = list(cost)
+        The reduced-cost row z = (c - c_B B^-1 A, -c_B B^-1 b) rides below
+        the constraint rows and is pivoted with them.  Returns ("optimal",
+        -1, z) or ("unbounded", entering column, z).
+        """
+        rows = self.rows
+        m = len(rows)
+        z = cost + [ZERO]
         for r, b in enumerate(self.basis):
             cb = cost[b]
             if cb != 0:
-                zrow = [a - cb * x for a, x in zip(zrow, self.rows[r])]
-        return zrow
-
-    def _run(self, cost: list[Fraction], allowed: list[int]) -> tuple[str, int]:
-        """Bland simplex to optimality; returns ("optimal", -1) or
-        ("unbounded", entering column)."""
-        zrow = self._reduced_costs(cost)
+                z = [a - cb * x for a, x in zip(z, rows[r])]
+        rows.append(z)
         while True:
-            entering = next((j for j in allowed if zrow[j] < 0), None)
+            entering = next((j for j in allowed if rows[m][j] < 0), None)
             if entering is None:
-                return "optimal", -1
+                return "optimal", -1, rows.pop()
             best: tuple[Fraction, int, int] | None = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][entering]
+            for r in range(m):
+                a = rows[r][entering]
                 if a > 0:
-                    ratio = self.rhs[r] / a
+                    ratio = rows[r][-1] / a
                     key = (ratio, self.basis[r])
                     if best is None or key < (best[0], best[1]):
                         best = (ratio, self.basis[r], r)
             if best is None:
-                return "unbounded", entering
-            self._pivot(best[2], entering, zrow)
-
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum((cost[b] * self.rhs[r] for r, b in enumerate(self.basis)), ZERO)
+                return "unbounded", entering, rows.pop()
+            pivot(rows, best[2], entering)
+            self.basis[best[2]] = entering
 
     def point(self) -> Vector:
         x = [ZERO] * self.lp.num_vars
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
                 j, s = self.col_var[b]
-                x[j] += s * self.rhs[r]
+                x[j] += s * self.rows[r][-1]
         return tuple(x)
 
     def ray(self, entering: int) -> Vector:
@@ -197,24 +177,18 @@ class _Tableau:
                 d[jj] += ss * (-self.rows[r][entering])
         return tuple(d)
 
-    def farkas(self) -> Vector:
-        """Original-constraint multipliers from the phase-1 dual.
+    def farkas(self, z: list[Fraction]) -> Vector:
+        """Original-constraint multipliers from the phase-1 reduced costs z.
 
-        With y = c_B B^{-1} read off the artificial columns, the translation
-        below yields multipliers that aggregate the original constraints into
-        an exact contradiction (see verify_farkas for the convention).
+        Row i's artificial column began as e_i with cost 1, so its reduced
+        cost is 1 - y_i for the phase-1 dual y = c_B B^-1.  The translation
+        below turns y into multipliers that aggregate the original
+        constraints into an exact contradiction (see verify_farkas for the
+        convention).
         """
-        # y = c_B B^{-1}; the artificial columns hold B^{-1} since they began
-        # as the identity.
-        m = len(self.lp.constraints)
-        y = [ZERO] * m
-        for r, b in enumerate(self.basis):
-            if b >= self.art0:
-                for i in range(m):
-                    y[i] += self.rows[r][self.art0 + i]
         mult = []
         for i, c in enumerate(self.lp.constraints):
-            u = self.row_sign[i] * y[i]
+            u = self.row_sign[i] * (ONE - z[self.art0 + i])
             mult.append(u if c.relation == GE else -u)
         return tuple(mult)
 
@@ -228,10 +202,10 @@ class _Tableau:
                 )
                 if col is None:
                     # Redundant constraint: drop the row.
-                    del self.rows[r], self.rhs[r], self.basis[r]
+                    del self.rows[r], self.basis[r]
                     continue
-                dummy = [ZERO] * self.n_cols
-                self._pivot(r, col, dummy)
+                pivot(self.rows, r, col)
+                self.basis[r] = col
             r += 1
 
 
@@ -241,11 +215,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
     m = len(lp.constraints)
     phase1_cost = [ZERO] * tab.art0 + [ONE] * m
     non_artificial = list(range(tab.art0))
-    status, _ = tab._run(phase1_cost, non_artificial)
+    status, _, z = tab._run(phase1_cost, non_artificial)
     if status != "optimal":  # phase 1 is bounded below by zero
         raise RuntimeError(f"internal error: phase 1 ended {status}")
-    if tab.objective_value(phase1_cost) > 0:
-        farkas = tab.farkas()
+    if z[-1] < 0:  # the phase-1 optimum -z[-1] is positive: no feasible point
+        farkas = tab.farkas(z)
         if not verify_farkas(lp, farkas):
             raise RuntimeError("internal error: invalid Farkas certificate")
         return LpOutcome(status="infeasible", farkas=farkas)
@@ -259,7 +233,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     phase2_cost = [ZERO] * tab.n_cols
     for col, (j, s) in enumerate(tab.col_var):
         phase2_cost[col] = sign * s * lp.objective[j]
-    status, entering = tab._run(phase2_cost, non_artificial)
+    status, entering, _ = tab._run(phase2_cost, non_artificial)
     point = tab.point()
     if not verify_point(lp, point):
         raise RuntimeError("internal error: infeasible point reported feasible")

@@ -62,6 +62,18 @@ def test_check_fp_precondition_exit_code(f1, tmp_path, capsys):
     assert "precondition" in err
 
 
+def test_oversized_subspace_is_a_file_error(f1, tmp_path, capsys):
+    # f1 has N = 2 and max rank 1, so S° may have dimension at most 1
+    sub = subspace_file(tmp_path, [[1, 0], [0, 1]])
+    for argv in (["check-vsp", f1], ["check-fp", f1], ["check-fp", f1, "--certify"]):
+        code, out, err = run(capsys, argv + ["--subspace", sub])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: subspace of dimension 2 leaves k=0 below the maximal factor rank 1; "
+            "its dimension can be at most 1\n"
+        )
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"factors": [{"name": "a", "rank": 1, "sigma_c": [{"generators": [["1/0"]]}]}]}')

@@ -24,7 +24,8 @@ def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational("-2/5") == F(-2, 5)
     assert parse_rational("4/6") == F(2, 3)
-    for bad in ("1/0", "1.5", "+3", " 1", "1 /2", "a", 2, None, "--1", "1/-2", "1" * 5000):
+    for bad in ("1/0", "1.5", "+3", " 1", "1 /2", "a", 2, None, "--1", "1/-2", "1" * 5000,
+                "\u0661", "\u0663/\u0664", "\uff11", "1\n"):
         with pytest.raises(ProblemFormatError):
             parse_rational(bad)
 

@@ -144,6 +144,27 @@ def test_redundant_equalities_dropped():
     assert out.value == F(1)
 
 
+def test_beale_degenerate_lp_reaches_optimum():
+    # Beale (1955): Dantzig's rule cycles on this degenerate LP from the
+    # slack basis.  Phase 1 here starts from the artificial basis instead,
+    # so the test pins the outcome of a run of degenerate pivots.
+    problem = lp.LinearProgram(
+        num_vars=4,
+        constraints=(
+            lp.constraint([F(1, 4), -60, F(-1, 25), 9], lp.LE, 0),
+            lp.constraint([F(1, 2), -90, F(-1, 50), 3], lp.LE, 0),
+            lp.constraint([0, 0, 1, 0], lp.LE, 1),
+        ),
+        objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
+        sense="max",
+        nonneg_vars=frozenset(range(4)),
+    )
+    out = lp.solve(problem)
+    assert out.status == "optimal"
+    assert out.value == F(1, 20)
+    assert out.point == (F(1, 25), F(0), F(1), F(0))
+
+
 def test_malformed_rejected():
     with pytest.raises(ValueError):
         lp.LinearProgram(num_vars=2, constraints=(lp.constraint([1], lp.LE, 0),))
