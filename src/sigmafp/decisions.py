@@ -59,9 +59,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    full_row_rank,
     inverse,
     linf_norm,
-    rank,
     rref,
     submatrix_columns,
     vec_add,
@@ -519,7 +519,7 @@ class NonFpBox:
 
 
 def _independent(rows: list[Vector]) -> bool:
-    return rank(Matrix.from_rows(rows)) == len(rows)
+    return full_row_rank(Matrix.from_rows(rows))
 
 
 def box_point(box: NonFpBox, a_entries: Matrix) -> SubspacePoint:

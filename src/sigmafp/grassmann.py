@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, rank, subspaces_intersect_trivially, vec_add, vec_scale
+from .linalg import Matrix, Subspace, full_row_rank, subspaces_intersect_trivially, vec_add, vec_scale
 from .product import ProductSpace, block_subspace
 from .randstream import CounterStream
 
@@ -55,7 +55,7 @@ def chart(complement_basis: Matrix, a_matrix: Matrix) -> Chart:
     n = complement_basis.rows
     if complement_basis.cols != n:
         raise ValueError("chart basis must be square")
-    if rank(complement_basis) != n:
+    if not full_row_rank(complement_basis):
         raise ValueError("singular chart basis")
     if a_matrix.rows + a_matrix.cols != n:
         raise ValueError("A must be (N - k) x k")

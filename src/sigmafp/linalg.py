@@ -10,12 +10,23 @@ package: it is the inner step of `_eliminate`, the kernel behind `rref`,
 `det` and `inverse`, and of the simplex tableau in `lp`.  The determinant is
 the signed product of the pivots `_eliminate` meets, and the inverse is the
 right half of the reduced `[M | I]`.
+
+Full row rank, and with it "do two subspaces meet only in 0?", is decided
+modulo the prime P = 2**61 - 1 first.  Each row is scaled by the lcm of its
+denominators to an integer row and reduced mod P; if those residue rows are
+independent over F_P, some maximal minor of the integer rows is nonzero mod
+P, hence a nonzero integer, so the rows are independent over Q.  Only a
+rank deficient mod P falls back to the exact `rank`.  A verdict therefore
+never depends on P, only the time taken to reach it.  A `Subspace` keeps its
+residue rows once computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -23,6 +34,9 @@ Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# The modulus of the full-rank test: the Mersenne prime 2**61 - 1.
+P = (1 << 61) - 1
 
 
 def vector(entries: Iterable) -> Vector:
@@ -162,6 +176,47 @@ def rank(m: Matrix) -> int:
     return rref(m)[0].rows
 
 
+def _residue_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Each row scaled by the lcm of its denominators, then reduced mod P."""
+    out = []
+    for row in m.entries:
+        d = lcm(*(a.denominator for a in row))
+        out.append(tuple(a.numerator * (d // a.denominator) % P for a in row))
+    return tuple(out)
+
+
+def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the residue rows are linearly independent over F_P.
+
+    Division-free elimination: each row is reduced against the rows kept
+    before it by row <- piv*row - f*kept (mod P), which zeroes the kept row's
+    pivot column; a row that reduces to 0 is dependent.
+    """
+    kept: list[tuple[int, Sequence[int]]] = []
+    for row in rows:
+        for c, other in kept:
+            f = row[c]
+            if f:
+                piv = other[c]
+                row = [(piv * a - f * b) % P for a, b in zip(row, other)]
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            return False
+        kept.append((c, row))
+    return True
+
+
+def full_row_rank(m: Matrix, residues: Sequence[Sequence[int]] | None = None) -> bool:
+    """True iff m's rows are linearly independent over Q.
+
+    Independence mod P settles it; only a rank deficient mod P is re-decided
+    by the exact `rank`.  `residues`, when given, must be `_residue_rows(m)`.
+    """
+    if _independent_mod_p(_residue_rows(m) if residues is None else residues):
+        return True
+    return rank(m) == m.rows
+
+
 def det(m: Matrix) -> Fraction:
     """Determinant: the signed product of the elimination pivots (0 if rank-deficient)."""
     if m.rows != m.cols:
@@ -240,6 +295,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def _residues(self) -> tuple[tuple[int, ...], ...]:
+        # Kept in the instance dict, not a field: equality, hash and repr ignore it.
+        return _residue_rows(self.basis)
+
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -272,9 +332,18 @@ def constraint_rows(s: Subspace) -> Matrix:
 
 
 def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
-    """True iff u and v meet only in 0, i.e. their sum is direct."""
+    """True iff u and v meet only in 0, i.e. their sum is direct.
+
+    Three exits: dim u + dim v > N means they meet, by the dimension count;
+    the stacked basis rows independent mod P (from the residues each
+    subspace keeps) means they do not; otherwise the exact `rank` of the
+    stacked bases decides.  Independence mod P implies independence over Q,
+    so the answer never depends on P.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if u.dim == 0 or v.dim == 0:
         return True
-    return rank(u.basis.stack(v.basis)) == u.dim + v.dim
+    if u.dim + v.dim > u.ambient_dim:
+        return False
+    return full_row_rank(u.basis.stack(v.basis), u._residues + v._residues)

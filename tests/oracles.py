@@ -56,6 +56,22 @@ def _solve_full_column_rank(columns, target):
     return None
 
 
+def rank_oracle(rows) -> int:
+    """Rank of a list of rows by local forward elimination over Fraction."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = work[i][c] / work[r][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
 def _invertible(rows) -> bool:
     return solve_square(rows, [ZERO] * len(rows)) is not None
 

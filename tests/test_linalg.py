@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rank_oracle
+from sigmafp import linalg
+from sigmafp.decisions import run_measure_experiment
+from sigmafp.formats import load_fixture
 from sigmafp.linalg import (
     Matrix,
     Subspace,
     det,
+    full_row_rank,
     inverse,
     kernel_basis,
     rank,
@@ -178,3 +184,111 @@ def test_det_matches_permutation_expansion_and_inverse(m):
     else:
         with pytest.raises(ValueError):
             inverse(m)
+
+
+# Entries of both kinds the package meets: small integers, where dependent
+# draws are common, and the sampling grid a / 2**16 with |a| <= 2**20.
+grid_entries = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.integers(-(1 << 20), 1 << 20).map(lambda a: Fraction(a, 1 << 16)),
+)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Generator rows of two subspaces of Q^n, n in 2..6: independent draws,
+    equal spans, nested spans, or more rows in total than n."""
+    n = draw(st.integers(2, 6))
+    row = st.lists(grid_entries, min_size=n, max_size=n)
+    u_rows = draw(st.lists(row, min_size=1, max_size=n))
+    kind = draw(st.sampled_from(["random", "equal", "nested", "overfull"]))
+    if kind == "random":
+        v_rows = draw(st.lists(row, min_size=1, max_size=n))
+    elif kind == "overfull":
+        v_rows = draw(st.lists(row, min_size=n + 1 - len(u_rows), max_size=n))
+    else:
+        picked = u_rows if kind == "equal" else u_rows[: draw(st.integers(1, len(u_rows)))]
+        # integer combinations of the picked rows span a subspace of theirs
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(picked), max_size=len(picked)))
+        combo = [sum(c * r[j] for c, r in zip(coeffs, picked)) for j in range(n)]
+        v_rows = picked[1:] + [combo] + picked[:1]
+    return u_rows, v_rows
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_intersect_trivially_matches_fraction_rank_oracle(pair):
+    u_rows, v_rows = pair
+    u, v = Subspace.span(u_rows), Subspace.span(v_rows)
+    expected = rank_oracle(u_rows + v_rows) == rank_oracle(u_rows) + rank_oracle(v_rows)
+    assert subspaces_intersect_trivially(u, v) == expected
+    assert subspaces_intersect_trivially(v, u) == expected
+
+
+@pytest.fixture()
+def exact_ranks(monkeypatch):
+    """Matrices handed to the exact fallback `linalg.rank`, in call order."""
+    seen = []
+    real_rank = linalg.rank
+
+    def counting_rank(m):
+        seen.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    return seen
+
+
+P = (1 << 61) - 1
+
+
+def test_full_rank_over_q_but_not_mod_p_falls_back(exact_ranks):
+    # (p, 1) scales to the integer row (p, 1), which is (0, 1) mod p
+    assert subspaces_intersect_trivially(Subspace.span([[P, 1]]), Subspace.span([[0, 1]]))
+    assert len(exact_ranks) == 1
+    # both rows of the plane are (0, 0, 1) mod p; det of the stack is 1 - 2/p
+    plane = Subspace.span([[P, 0, 1], [0, P, 1]])
+    assert subspaces_intersect_trivially(plane, Subspace.span([[1, 1, 1]]))
+    assert len(exact_ranks) == 2
+    assert full_row_rank(Matrix.from_rows([[P, 0, 1], [0, P, 1], [1, 1, 1]]))
+    assert len(exact_ranks) == 3
+
+
+def test_truly_dependent_rows_fall_back_and_stay_dependent(exact_ranks):
+    line = Subspace.span([[P, 1]])
+    assert not subspaces_intersect_trivially(line, Subspace.span([[2 * P, 2]]))
+    assert not full_row_rank(Matrix.from_rows([[1, 2], [2, 4]]))
+    assert len(exact_ranks) == 2
+
+
+def test_dimension_count_and_mod_p_exits_skip_the_fallback(exact_ranks):
+    plane = Subspace.span([[1, 0, 0], [0, 1, 0]])
+    assert not subspaces_intersect_trivially(plane, Subspace.span([[1, 1, 1], [0, 0, 1]]))
+    assert subspaces_intersect_trivially(plane, Subspace.span([[1, 1, 1]]))
+    assert exact_ranks == []
+
+
+def test_measure_on_f2_never_reaches_the_fallback(exact_ranks):
+    report = run_measure_experiment(load_fixture("f2"), k=4, samples=50, seed=42)
+    assert report.samples == 50 and report.vsp_failures == 0
+    assert exact_ranks == []
+
+
+def test_cached_residues_are_invisible():
+    rows = [[3, Fraction(1, 7), 0], [1, 1, Fraction(-2, 5)]]
+    used = Subspace.span(rows)
+    assert subspaces_intersect_trivially(used, Subspace.span([[0, 0, 1]]))
+    assert "_residues" in vars(used)
+    fresh = Subspace.span(rows)
+    assert "_residues" not in vars(fresh)
+    clone = pickle.loads(pickle.dumps(used))
+    for s in (used, clone):
+        assert s == fresh
+        assert hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+    assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
+    # workers inherit block and piece spans whose residues the serial run kept
+    p = load_fixture("f2")
+    serial = run_measure_experiment(p, k=4, samples=40, seed=3)
+    pooled = run_measure_experiment(p, k=4, samples=40, seed=3, jobs=2)
+    assert {**vars(serial), "elapsed_ms": 0} == {**vars(pooled), "elapsed_ms": 0}

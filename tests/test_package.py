@@ -42,3 +42,22 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = check_fp([(1, 0)])  # meets the first factor block
     assert done.returncode == 3
     assert "precondition failed" in done.stderr
+
+
+def test_optimised_check_vsp_reaches_the_exact_fallback(tmp_path):
+    # S° = span{(p, 1)}, p = 2**61 - 1, is (0, 1) mod p like the second factor
+    # block, yet meets it only in 0 over Q: the exact fallback decides, with
+    # asserts stripped by -O.
+    problem = tmp_path / "f1.json"
+    problem.write_text(fixture_text("f1"))
+    sub = tmp_path / "s.json"
+    sub.write_text('{"basis": [["2305843009213693951", "1"]]}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = [sys.executable, "-O", "-m", "sigmafp", "check-vsp", str(problem), "--subspace", str(sub)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == "check-vsp [Lemma: S° ∩ G_i* = {0} for each i] → virtual subdirect product\n"
+    assert done.stderr == ""
