@@ -7,8 +7,11 @@ feasibility over the generators.  One slice LP {lam >= 0, sum lam = 1,
 A lam = 0} settles lines and antipodal pairs with A = G (a + b contains a
 line iff some nonzero x in a has -x in b, or a or b contains a line), and
 with A = K G, where K x = 0 cuts out a subspace, whether a pointed piece
-meets it nontrivially.  `union_meets_subspace` keeps each union's generator
-matrices, spans and pointedness in a bounded cache of compiled unions.
+meets it nontrivially.  A union compiles its generator matrices, spans,
+pointedness and maximal pieces once, on the instance.  A subspace that meets
+a piece meets every piece whose generators include that piece's, so
+`union_meets_subspace` decides on the maximal pieces alone and scans the full
+piece order only to name the witness.
 
 A non-pointed piece has 0 on its slice, so there, and to name the witness
 once a slice LP is feasible, the question is normalised per coordinate: a
@@ -20,9 +23,9 @@ and cone-meets-subspace differ only in E and G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -86,12 +89,37 @@ def cone(generators: Iterable, ambient_dim: int | None = None) -> ConvexCone:
     return ConvexCone(ambient_dim, tuple(sorted(set(rays))))
 
 
+def _field_state(obj) -> dict:
+    """Pickle state of a frozen dataclass: its fields, without cached properties."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class ConeUnion:
-    """Finite union of convex cones; no pieces means the set {0}."""
+    """Finite union of convex cones; no pieces means the set {0}.
+
+    The compiled pieces, the tameness verdict and the dimension are computed
+    once per instance and kept in its dict, not in fields: equality, hash,
+    repr and pickles ignore them.
+    """
 
     ambient_dim: int
     pieces: tuple[ConvexCone, ...]
+
+    __getstate__ = _field_state
+
+    @cached_property
+    def _compiled(self) -> "_CompiledUnion":
+        return _CompiledUnion(self)
+
+    @cached_property
+    def _tame(self) -> bool:
+        pairs = ((a, b) for i, a in enumerate(self.pieces) for b in self.pieces[i:])
+        return not any(cone_contains_line(cone_sum(a, b)) for a, b in pairs)
+
+    @cached_property
+    def _dim(self) -> int:
+        return max((cone_dim(p) for p in self.pieces), default=0)
 
 
 def cone_union(pieces: Sequence[ConvexCone], ambient_dim: int | None = None) -> ConeUnion:
@@ -120,11 +148,10 @@ class IntersectionWitness:
 
 
 def _generator_matrix(c: ConvexCone) -> Matrix:
-    # Columns are generators: (G lam)_i = sum_j lam_j g_j[i].
-    return Matrix.from_rows(
-        [[g[i] for g in c.generators] for i in range(c.ambient_dim)],
-        cols=len(c.generators),
-    )
+    # Columns are generators: (G lam)_i = sum_j lam_j g_j[i].  The entries
+    # are already Fractions, so the transpose is taken as is.
+    rows = tuple(zip(*c.generators)) if c.generators else ((),) * c.ambient_dim
+    return Matrix(c.ambient_dim, len(c.generators), rows)
 
 
 @lru_cache(maxsize=1024)
@@ -258,13 +285,20 @@ def piece_subspace_lps(piece: ConvexCone, w: Subspace) -> list[lp.LinearProgram]
 
 
 class _CompiledUnion:
-    """A union's nonzero pieces as (index, generator matrix, span), with
-    pointedness flags filled in the first time a piece is asked about."""
+    """A union's nonzero pieces as (index, generator matrix, span), the
+    maximal ones among them, and pointedness flags filled in the first time
+    a piece is asked about.
+
+    A piece is maximal unless its generator set is a strict subset of
+    another piece's; every piece lies inside some maximal piece.
+    """
 
     def __init__(self, u: ConeUnion):
         self.pieces = [
             (i, _generator_matrix(p), _cone_span(p)) for i, p in enumerate(u.pieces) if p.generators
         ]
+        gens = [frozenset(p.generators) for p in u.pieces]
+        self.maximal = [c for c in self.pieces if not any(gens[c[0]] < other for other in gens)]
         self._pointed: dict[int, bool] = {}
 
     def pointed(self, i: int, g: Matrix, span: Subspace) -> bool:
@@ -274,35 +308,71 @@ class _CompiledUnion:
         return self._pointed[i]
 
 
-_compiled = lru_cache(maxsize=64)(_CompiledUnion)
+class _Scan:
+    """One subspace against one compiled union; each piece's outcome is
+    decided at most once.
+
+    An outcome is None when the piece meets w only in 0, the witness when a
+    non-pointed piece meets w, and K G when a pointed piece's slice LP is
+    feasible: that piece meets w, and its witness is named only if needed.
+    """
+
+    def __init__(self, compiled: _CompiledUnion, w: Subspace):
+        self.compiled = compiled
+        self.w = w
+        self.k: Optional[Matrix] = None
+        self.outcomes: dict[int, object] = {}
+
+    def outcome(self, piece: tuple[int, Matrix, Subspace]):
+        i, g, span = piece
+        if i not in self.outcomes:
+            self.outcomes[i] = self._decide(i, g, span)
+        return self.outcomes[i]
+
+    def _decide(self, i: int, g: Matrix, span: Subspace):
+        if subspaces_intersect_trivially(span, self.w):
+            return None
+        if self.k is None:
+            self.k = constraint_rows(self.w)
+        kg = self.k.mul(g)
+        if self.compiled.pointed(i, g, span):
+            return None if lp.solve(_slice_lp(kg)).status == "infeasible" else kg
+        return _first_witness(_normalised_lps(kg, g), g, i)
+
+    def witness(self, piece: tuple[int, Matrix, Subspace]) -> Optional[IntersectionWitness]:
+        found = self.outcome(piece)
+        if not isinstance(found, Matrix):
+            return found
+        i, g, _ = piece
+        witness = _first_witness(_normalised_lps(found, g), g, i)
+        if witness is None:
+            raise RuntimeError("internal error: a feasible slice LP gave no witness")
+        return witness
 
 
 def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitness]:
     """First nonzero point of (union pieces) intersected with the subspace w.
 
-    A pointed piece past the span prefilter costs one slice LP, infeasible
-    on an FP point.  The normalised scan runs only where that LP is feasible
-    or the piece is not pointed; its order (piece index, then coordinate,
-    then + before -) fixes the witness deterministically.
+    The maximal pieces decide: a pointed piece past the span prefilter costs
+    one slice LP, infeasible on an FP point.  Only when a maximal piece meets
+    w does a second scan run over every piece in order, reusing the
+    outcomes already decided, to name the witness of the first piece that
+    meets w.  Its normalised scan (coordinate, then + before -) fixes the
+    witness deterministically.
     """
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    compiled = _compiled(u)
-    k = None
-    for piece_index, g, span in compiled.pieces:
-        if subspaces_intersect_trivially(span, w):
-            continue
-        k = constraint_rows(w) if k is None else k
-        kg = k.mul(g)
-        pointed = compiled.pointed(piece_index, g, span)
-        if pointed and lp.solve(_slice_lp(kg)).status == "infeasible":
-            continue
-        witness = _first_witness(_normalised_lps(kg, g), g, piece_index)
+    compiled = u._compiled
+    scan = _Scan(compiled, w)
+    if all(scan.outcome(piece) is None for piece in compiled.maximal):
+        return None
+    for piece in compiled.pieces:
+        witness = scan.witness(piece)
         if witness is not None:
             return witness
-        if pointed:
-            raise RuntimeError("internal error: a feasible slice LP gave no witness")
-    return None
+    raise RuntimeError(
+        "internal error: a maximal piece meets the subspace but no piece names a witness"
+    )
 
 
 def union_is_tame(u: ConeUnion) -> bool:
@@ -310,11 +380,10 @@ def union_is_tame(u: ConeUnion) -> bool:
 
     One line LP per unordered pair of pieces (a, b), a == b included: a line
     in a + b is an antipodal pair across a and b or inside one of them.
+    Decided once per union instance.
     """
-    pairs = ((a, b) for i, a in enumerate(u.pieces) for b in u.pieces[i:])
-    return not any(cone_contains_line(cone_sum(a, b)) for a, b in pairs)
+    return u._tame
 
 
 def union_dim(u: ConeUnion) -> int:
-    return max((cone_dim(p) for p in u.pieces), default=0)
-
+    return u._dim

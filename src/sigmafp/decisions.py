@@ -72,7 +72,6 @@ from .linalg import (
 from .product import (
     ProductSpace,
     assemble_sigma,
-    block_subspace,
     build_gamma,
     embed_factor,
     theorem_a_applicable,
@@ -218,7 +217,7 @@ def openness_certificate(
             r0 = max(linf_norm(gen) for gen in piece.generators)
             bounds.append(dist / (2 * l * r0))
     blocks = range(len(p.factors)) if l > 0 else ()
-    margins = [_vsp_margin_for_block(pt.subspace, block_subspace(p, i)) for i in blocks]
+    margins = [_vsp_margin_for_block(pt.subspace, p.block_subspaces[i]) for i in blocks]
     vsp_margin = min((b for b in margins if b is not None), default=None)
     delta = min(bounds + ([vsp_margin] if vsp_margin is not None else []), default=ONE)
     return OpennessCertificate(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, Subspace, full_row_rank, subspaces_intersect_trivially, vec_add, vec_scale
-from .product import ProductSpace, block_subspace
+from .product import ProductSpace
 from .randstream import CounterStream
 
 # Sampling grid: entries a / 2**16 with a uniform in [-2**20, 2**20].
@@ -86,10 +86,7 @@ def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
         raise ValueError("ambient dimension mismatch")
     if pt.k < p.max_rank:
         raise ValueError(f"k={pt.k} below the maximal factor rank {p.max_rank}")
-    return all(
-        subspaces_intersect_trivially(pt.subspace, block_subspace(p, i))
-        for i in range(len(p.factors))
-    )
+    return all(subspaces_intersect_trivially(pt.subspace, b) for b in p.block_subspaces)
 
 
 def sample_rows(n_rows: int, n_cols: int, seed: int, index: int, attempt: int = 0):

@@ -272,15 +272,17 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
-        rows = [vector(v) for v in vectors]
+        rows = tuple(vector(v) for v in vectors)
         if rows:
             n = len(rows[0])
             if ambient_dim is not None and ambient_dim != n:
                 raise ValueError("ambient dimension mismatch")
+            if any(len(r) != n for r in rows):
+                raise ValueError("ragged rows")
             ambient_dim = n
         elif ambient_dim is None:
             raise ValueError("ambient dimension required for an empty span")
-        reduced, pivots = rref(Matrix.from_rows(rows, cols=ambient_dim))
+        reduced, pivots = rref(Matrix(len(rows), ambient_dim, rows))
         return Subspace(ambient_dim, reduced, pivots)
 
     @staticmethod

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .cones import (
     ConeUnion,
     ConvexCone,
+    _field_state,
     cone,
     cone_sum,
     cone_union,
@@ -57,6 +58,15 @@ class ProductSpace:
     total_dim: int
     blocks: tuple[tuple[int, int], ...]  # half-open [start, stop) per factor
     max_rank: int
+
+    __getstate__ = _field_state
+
+    @cached_property
+    def block_subspaces(self) -> tuple[Subspace, ...]:
+        """Each factor's coordinate block as a subspace, computed once per
+        instance and kept outside the fields (equality, hash, repr and
+        pickles ignore it)."""
+        return tuple(block_subspace(self, i) for i in range(len(self.factors)))
 
 
 def product_space(factors: Sequence[FactorSpec]) -> ProductSpace:
@@ -114,8 +124,10 @@ def assemble_sigma(p: ProductSpace) -> ConeUnion:
 def build_gamma(sigma: ConeUnion) -> ConeUnion:
     """All pairwise sums of pieces of sigma (including a piece with itself).
 
-    Subsumed pieces are kept: piece-wise LP decisions are unaffected and
-    minimality would cost containment tests without changing any verdict.
+    Subsumed pieces are kept, so piece indices and the `gamma` listing name
+    every pairwise sum, but deciding Gamma cap S = {0} skips them: a piece
+    whose generators are a strict subset of another's meets S only if that
+    other piece does (see `union_meets_subspace`).
     """
     pieces: list[ConvexCone] = []
     for i, a in enumerate(sigma.pieces):

@@ -22,6 +22,7 @@ from sigmafp.cones import (
     union_meets_subspace,
 )
 from sigmafp.linalg import Subspace, constraint_rows, subspaces_intersect_trivially
+from sigmafp.product import build_gamma
 
 F = Fraction
 
@@ -205,13 +206,18 @@ def fp_union():
 
 
 def test_fp_point_solves_one_slice_lp_per_pointed_piece(solved_lps):
-    cones._compiled.cache_clear()
+    u = fp_union()
     w = Subspace.span([[1, -1, 0]])
-    assert union_meets_subspace(fp_union(), w) is None
-    # three slice LPs plus one line LP for the dependent generators
-    assert len(solved_lps) == 4
+    assert union_meets_subspace(u, w) is None
+    # piece 0 lies inside piece 1 and is not scanned: two slice LPs plus one
+    # line LP for piece 1's dependent generators
+    assert len(solved_lps) == 3
     solved_lps.clear()
-    # an equal union reuses the compiled pointedness flags
+    # the same union reuses its compiled pointedness flags
+    assert union_meets_subspace(u, w) is None
+    assert len(solved_lps) == 2
+    solved_lps.clear()
+    # an equal but distinct union compiles its own
     assert union_meets_subspace(fp_union(), w) is None
     assert len(solved_lps) == 3
 
@@ -304,3 +310,33 @@ def test_union_meets_subspace_matches_oracle_and_normalised_scan(case):
     hit = union_meets_subspace(u, w)
     assert (hit is not None) == union_meets_subspace_oracle(u, w_rows)
     assert hit == normalised_scan(u, w)
+
+
+@st.composite
+def gammas_and_subspaces(draw):
+    """build_gamma unions (nested pieces, lines, duplicated sigma pieces) and
+    a subspace."""
+    dim = draw(st.integers(2, 4))
+    pieces = draw(st.lists(st.one_of(cones_strategy(dim), line_pieces(dim)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pieces.append(pieces[0])
+    w_rows = draw(st.lists(rays(dim), min_size=1, max_size=dim - 1))
+    return build_gamma(cone_union(pieces, ambient_dim=dim)), w_rows
+
+
+@given(gammas_and_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_maximal_pieces_decide_and_the_full_order_names_the_witness(case):
+    gamma, w_rows = case
+    w = Subspace.span(w_rows, ambient_dim=gamma.ambient_dim)
+    assert union_meets_subspace(gamma, w) == normalised_scan(gamma, w)
+
+
+def test_a_nested_piece_earlier_in_the_order_names_the_witness():
+    # Γ = [a, a + b, b]: only a + b is maximal, and a meets w first
+    gamma = build_gamma(cone_union([cone([(1, 0, 0)]), cone([(0, 1, 0)])]))
+    assert [i for i, _, _ in gamma._compiled.maximal] == [1]
+    w = Subspace.span([[1, 0, 0], [0, 0, 1]])
+    hit = union_meets_subspace(gamma, w)
+    assert hit == normalised_scan(gamma, w)
+    assert (hit.piece_index, hit.ray, hit.coefficients) == (0, (1, 0, 0), (1,))

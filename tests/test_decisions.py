@@ -1,13 +1,18 @@
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sigmafp import decisions, linalg
 from sigmafp.cones import (
+    ConeUnion,
     cone,
     cone_contains,
     cone_union,
     cones_meet_nontrivially,
+    union_dim,
+    union_is_tame,
 )
 from sigmafp.decisions import (
     box_point,
@@ -30,6 +35,7 @@ from sigmafp.formats import load_fixture
 from sigmafp.grassmann import is_virtual_subdirect, subspace_point
 from sigmafp.linalg import Matrix, Subspace
 from sigmafp.product import (
+    ProductSpace,
     assemble_sigma,
     block_subspace,
     build_gamma,
@@ -497,3 +503,43 @@ def test_measure_both_verdicts_occur_on_f1():
     p, _ = f1_setup()
     report = run_measure_experiment(p, k=1, samples=200, seed=42)
     assert 0 < report.nonfp_count < 200
+
+
+def test_compiled_state_stays_out_of_equality_hash_repr_and_pickles():
+    p = load_fixture("f1")
+    gamma = build_gamma(assemble_sigma(p))
+    assert not is_finitely_presented(line_point(1, 1), gamma, p).finitely_presented
+    assert union_is_tame(gamma)
+    assert union_dim(gamma) == 2
+    assert {"_compiled", "_tame", "_dim"} <= vars(gamma).keys()
+    assert "block_subspaces" in vars(p)
+    fresh_p = load_fixture("f1")
+    fresh_gamma = build_gamma(assemble_sigma(fresh_p))
+    for used, fresh in ((gamma, fresh_gamma), (p, fresh_p)):
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(used)) == fresh
+    # workers receive the product without its blocks and compile Γ afresh
+    serial = run_measure_experiment(p, k=1, samples=40, seed=3)
+    pooled = run_measure_experiment(p, k=1, samples=40, seed=3, jobs=2)
+    assert serial.nonfp_count > 0
+    assert {**vars(serial), "elapsed_ms": 0} == {**vars(pooled), "elapsed_ms": 0}
+
+
+def test_measure_hashes_unions_and_products_a_fixed_number_of_times(monkeypatch):
+    calls = Counter()
+    for cls in (ConeUnion, ProductSpace):
+
+        def counting(self, real=cls.__hash__, name=cls.__name__):
+            calls[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "__hash__", counting)
+    counts = []
+    for samples in (10, 40):
+        calls.clear()
+        run_measure_experiment(load_fixture("f1"), k=1, samples=samples, seed=5)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
