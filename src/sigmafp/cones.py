@@ -154,7 +154,9 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
     return Matrix(c.ambient_dim, len(c.generators), rows)
 
 
-@lru_cache(maxsize=1024)
+# Each compiled union keeps its pieces' spans, so this cache only serves
+# equal cones parsed again by later calls in the same process.
+@lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
     return Subspace.span(list(c.generators), ambient_dim=c.ambient_dim)
 

@@ -7,9 +7,13 @@ reduced-cost row z sits below the constraint rows, and every pivot is
 `linalg.pivot` over all of them, the same Gauss-Jordan step that `rref` uses.
 Bland's pivoting rule (lowest eligible index enters, ratio ties broken by
 lowest basic index) guarantees termination and makes every outcome
-deterministic.  Artificial variables are attached to every row; phase 1 ends
-with -z[-1] as its optimum, and when that is above zero the phase-1 dual, read
-off the artificial columns as y_i = 1 - z[artificial i], is a Farkas
+deterministic.  Phase 1 starts from the slack basis where it can: each row
+is negated if that makes its right-hand side nonnegative (at right-hand
+side 0, if that gives its slack coefficient +1), an inequality row whose
+slack then has coefficient +1 starts on that slack, and only the other rows
+get an artificial variable.  Phase 1 ends with -z[-1] as its optimum, and
+when that is above zero the phase-1 dual, read off each row's starting
+column as y_i = 1 - z[artificial i] or y_i = -z[slack i], is a Farkas
 certificate of infeasibility.  Unbounded phase-2 runs return an explicit
 improving ray.
 
@@ -104,27 +108,38 @@ class _Tableau:
             if j not in lp.nonneg_vars:
                 self.col_var.append((j, -1))
         self.n_struct = slack = len(self.col_var)
-        self.art0 = slack + sum(c.relation != EQ for c in lp.constraints)
-        self.n_cols = self.art0 + len(lp.constraints)  # one artificial per row
-        self.row_sign: list[int] = []
+        # A row is negated when that makes its right-hand side positive, or
+        # its slack coefficient +1 at right-hand side 0.  A row whose slack
+        # then has coefficient +1 ("<=" kept, ">=" negated) starts on it;
+        # every other row gets an artificial column, numbered in row order.
+        self.row_sign = [
+            -1 if c.rhs < 0 or (c.rhs == 0 and c.relation == GE) else 1
+            for c in lp.constraints
+        ]
+        on_slack = [
+            c.relation == (LE if sign == 1 else GE)
+            for c, sign in zip(lp.constraints, self.row_sign)
+        ]
+        self.art0 = art = slack + sum(c.relation != EQ for c in lp.constraints)
+        self.n_cols = self.art0 + on_slack.count(False)
         self.rows: list[list[Fraction]] = []
         self.basis: list[int] = []
-        for i, c in enumerate(lp.constraints):
+        for c, sign, starts_on_slack in zip(lp.constraints, self.row_sign, on_slack):
             row = [ZERO] * (self.n_cols + 1)
             for col, (j, s) in enumerate(self.col_var):
-                row[col] = s * c.coeffs[j]
+                row[col] = c.coeffs[j] if s == sign else -c.coeffs[j]
+            row[-1] = abs(c.rhs)
             if c.relation != EQ:  # one slack per inequality, in row order
-                row[slack] = ONE if c.relation == LE else -ONE
+                row[slack] = ONE if starts_on_slack else -ONE
+                if starts_on_slack:
+                    self.basis.append(slack)
                 slack += 1
-            row[-1] = c.rhs
-            sign = 1
-            if c.rhs < 0:
-                sign = -1
-                row = [-a for a in row]
-            self.row_sign.append(sign)
-            row[self.art0 + i] = ONE
+            if not starts_on_slack:
+                row[art] = ONE
+                self.basis.append(art)
+                art += 1
             self.rows.append(row)
-            self.basis.append(self.art0 + i)
+        self.start_basis = tuple(self.basis)
 
     def _run(self, cost: list[Fraction], allowed: list[int]) -> tuple[str, int, list[Fraction]]:
         """Bland simplex to optimality.
@@ -180,15 +195,17 @@ class _Tableau:
     def farkas(self, z: list[Fraction]) -> Vector:
         """Original-constraint multipliers from the phase-1 reduced costs z.
 
-        Row i's artificial column began as e_i with cost 1, so its reduced
-        cost is 1 - y_i for the phase-1 dual y = c_B B^-1.  The translation
-        below turns y into multipliers that aggregate the original
-        constraints into an exact contradiction (see verify_farkas for the
-        convention).
+        Row i's starting basic column began as e_i, so its reduced cost is
+        its phase-1 cost minus y_i for the phase-1 dual y = c_B B^-1: y_i =
+        1 - z[artificial i] for a row that started on an artificial column,
+        y_i = -z[slack i] for a row that started on its slack.  The
+        translation below turns y into multipliers that aggregate the
+        original constraints into an exact contradiction (see verify_farkas
+        for the convention).
         """
         mult = []
-        for i, c in enumerate(self.lp.constraints):
-            u = self.row_sign[i] * (ONE - z[self.art0 + i])
+        for c, sign, b in zip(self.lp.constraints, self.row_sign, self.start_basis):
+            u = sign * (ONE - z[b] if b >= self.art0 else -z[b])
             mult.append(u if c.relation == GE else -u)
         return tuple(mult)
 
@@ -212,8 +229,7 @@ class _Tableau:
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact status with a certificate: point, optimum, Farkas vector, or ray."""
     tab = _Tableau(lp)
-    m = len(lp.constraints)
-    phase1_cost = [ZERO] * tab.art0 + [ONE] * m
+    phase1_cost = [ZERO] * tab.art0 + [ONE] * (tab.n_cols - tab.art0)
     non_artificial = list(range(tab.art0))
     status, _, z = tab._run(phase1_cost, non_artificial)
     if status != "optimal":  # phase 1 is bounded below by zero

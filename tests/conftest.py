@@ -15,3 +15,17 @@ def solved_lps(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", counting_solve)
     return solved
+
+
+@pytest.fixture()
+def simplex_pivots(monkeypatch):
+    """A one-item list counting the simplex's pivots during the test."""
+    count = [0]
+    real_pivot = lp.pivot
+
+    def counting_pivot(rows, r, c):
+        count[0] += 1
+        real_pivot(rows, r, c)
+
+    monkeypatch.setattr(lp, "pivot", counting_pivot)
+    return count

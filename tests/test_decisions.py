@@ -184,6 +184,26 @@ def test_certificate_solves_one_lp_per_piece_on_fp_point(solved_lps):
     assert len(solved_lps) == len(gamma.pieces) == len(cert.per_piece_distance)
 
 
+@pytest.mark.parametrize(
+    "fixture, rows, k, delta, pivots",
+    [
+        ("f1", [[1, -1]], 1, F(1, 4), 9),
+        ("f4", [[1, 0, 0, -1], [0, 1, -1, 0]], 2, F(1, 32), 25),
+        ("f2", [[1, 0, 0, 0, 0, -3], [0, 1, 0, 0, -2, 0]], 4, F(1, 16), 25),
+    ],
+)
+def test_certificate_distance_lps_start_on_their_slacks(simplex_pivots, fixture, rows, k, delta, pivots):
+    # Every inequality row of a slice-distance LP has right-hand side 0, so
+    # each starts on its slack and phase 1 only drives out the simplex row's
+    # artificial.  With an artificial in every row the same certificates
+    # took 22, 92 and 125 pivots.
+    p = load_fixture(fixture)
+    gamma = build_gamma(assemble_sigma(p))
+    cert = openness_certificate(subspace_point(Subspace.span(rows), k), gamma, p)
+    assert cert.delta == delta
+    assert simplex_pivots[0] == pivots
+
+
 def test_vsp_margin_equals_cofactor_bound_without_determinants(monkeypatch):
     from sigmafp.grassmann import sample_point
 

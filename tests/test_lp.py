@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import enumerate_vertices
 from sigmafp import lp
+from sigmafp.decisions import run_measure_experiment
+from sigmafp.formats import load_fixture
 
 F = Fraction
 
@@ -146,8 +150,9 @@ def test_redundant_equalities_dropped():
 
 def test_beale_degenerate_lp_reaches_optimum():
     # Beale (1955): Dantzig's rule cycles on this degenerate LP from the
-    # slack basis.  Phase 1 here starts from the artificial basis instead,
-    # so the test pins the outcome of a run of degenerate pivots.
+    # slack basis.  Every row here is "<=" with a nonnegative right-hand
+    # side, so phase 1 starts on exactly that basis and phase 2 runs from
+    # it: the test pins Bland's anti-cycling rule.
     problem = lp.LinearProgram(
         num_vars=4,
         constraints=(
@@ -178,3 +183,51 @@ def test_farkas_rejects_wrong_multipliers():
     )
     assert not lp.verify_farkas(problem, (F(1), F(0)))
     assert not lp.verify_farkas(problem, (F(-1), F(1)))
+
+
+def _starts_on_slack(c: lp.Constraint) -> bool:
+    return (c.relation == lp.LE and c.rhs >= 0) or (c.relation == lp.GE and c.rhs <= 0)
+
+
+def test_feasibility_from_slack_start_matches_vertex_oracle(simplex_pivots):
+    # Mixed "<=", ">=" and "=" rows with right-hand sides of every sign:
+    # the verdict must agree with vertex enumeration, and both kinds of
+    # certificate must verify, whichever rows start on their slacks.
+    rnd = random.Random(8)
+    seen = {"all_on_slack": 0, "infeasible": 0, "slack_row_in_farkas": 0}
+    for _ in range(400):
+        n = rnd.randint(1, 3)
+        constraints = tuple(
+            lp.constraint(
+                [rnd.randint(-3, 3) for _ in range(n)],
+                rnd.choice([lp.LE, lp.LE, lp.GE, lp.GE, lp.EQ]),
+                rnd.randint(-3, 3),
+            )
+            for _ in range(rnd.randint(1, 4))
+        )
+        problem = lp.feasibility(n, constraints, nonneg_vars=range(n))
+        simplex_pivots[0] = 0
+        out = lp.solve(problem)
+        if out.status == "infeasible":
+            assert not enumerate_vertices(problem)
+            assert lp.verify_farkas(problem, out.farkas)
+            seen["infeasible"] += 1
+            seen["slack_row_in_farkas"] += any(
+                y != 0 and _starts_on_slack(c) for y, c in zip(out.farkas, constraints)
+            )
+        else:
+            assert out.status == "feasible" and enumerate_vertices(problem)
+            assert lp.verify_point(problem, out.point)
+        if all(_starts_on_slack(c) for c in constraints):
+            # the slack basis is feasible: phase 1 has nothing to do
+            assert out.status == "feasible" and simplex_pivots[0] == 0
+            seen["all_on_slack"] += 1
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+def test_measure_rows_keep_their_simplex_pivots(simplex_pivots):
+    # The LPs `measure` builds have no row that starts on its slack, so the
+    # slack start leaves their pivot sequences exactly as they were.
+    for fixture, k in (("f1", 1), ("f2", 4), ("f3", 1), ("f4", 2), ("f4", 3)):
+        run_measure_experiment(load_fixture(fixture), k, 200, 42)
+    assert simplex_pivots[0] == 1663
