@@ -154,8 +154,10 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
     return Matrix(c.ambient_dim, len(c.generators), rows)
 
 
-# Each compiled union keeps its pieces' spans, so this cache only serves
-# equal cones parsed again by later calls in the same process.
+# Each compiled union keeps its pieces' spans, so this cache serves
+# cones_meet_nontrivially and equal cones parsed again by later calls in the
+# same process.  64 entries: cli-mix's largest Γ has 15 pieces, and traced
+# allocations over its calls held 1.95 MB at 64 against 3.64 MB at 1024.
 @lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
     return Subspace.span(list(c.generators), ambient_dim=c.ambient_dim)

@@ -10,7 +10,7 @@ SWEEP = ROOT / "tools" / "identity_sweep.py"
 
 def sweep(old, new):
     return subprocess.run(
-        [sys.executable, str(SWEEP), "--fixtures-only", "--samples", "20", str(old), str(new)],
+        [sys.executable, str(SWEEP), "--fixtures-only", str(old), str(new)],
         capture_output=True, text=True, timeout=300,
     )
 

@@ -3,15 +3,15 @@
 Run from anywhere:
 
     python3 tools/identity_sweep.py OLD_CHECKOUT NEW_CHECKOUT
-    python3 tools/identity_sweep.py --fixtures-only --samples 20 . .
+    python3 tools/identity_sweep.py --fixtures-only . .
 
 The calls are every call of the benchmark's cli-mix workload for seeds 1
 and 2 (``benchmarks/workloads.py`` of this checkout generates their problem
 and point files in a temporary directory), then ``measure --seed 42`` on
-the five ROADMAP rows.  Each checkout's ``src/`` is imported by its own
-subprocess, which runs ``sigmafp.cli.main`` in-process on every call and
-records the exit code, stdout and stderr; ``elapsed_ms`` in ``measure``
-reports is zeroed.  Prints ``identical (N calls)`` and exits 0, or prints
+the five ROADMAP rows at 300 samples.  Each checkout's ``src/`` is
+imported by its own subprocess, which runs ``sigmafp.cli.main`` in-process
+on every call and records the exit code, stdout and stderr; ``elapsed_ms``
+in ``measure`` reports is zeroed.  Prints ``identical (N calls)`` and exits 0, or prints
 the first differing call with both outputs and exits 1.
 """
 
@@ -32,10 +32,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_MIX_SEEDS = (1, 2)
 MEASURE_ROWS = (("f1", 1), ("f2", 4), ("f3", 1), ("f4", 2), ("f4", 3))
 MEASURE_SEED = 42
+MEASURE_SAMPLES = 300
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+')
 
 
-def call_lists(directory: Path, fixtures_only: bool, samples: int) -> list[list[str]]:
+def call_lists(directory: Path, fixtures_only: bool) -> list[list[str]]:
     """Every argv of the sweep, in order; writes the files they name."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
@@ -51,7 +52,7 @@ def call_lists(directory: Path, fixtures_only: bool, samples: int) -> list[list[
                 calls += cp.calls
     for fixture, k in MEASURE_ROWS:
         path = str(directory / ".bench_out" / "cli-mix-1" / f"{fixture}.json")
-        calls.append(["measure", path, "--k", str(k), "--samples", str(samples),
+        calls.append(["measure", path, "--k", str(k), "--samples", str(MEASURE_SAMPLES),
                       "--seed", str(MEASURE_SEED)])
     return calls
 
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="checkout to compare with it")
     parser.add_argument("--fixtures-only", action="store_true",
                         help="keep only the cli-mix calls on the shipped fixtures f1-f4")
-    parser.add_argument("--samples", type=int, default=300, help="samples per measure row")
     args = parser.parse_args(argv)
     srcs = [tree.resolve() / "src" for tree in (args.old, args.new)]
     for tree, src in zip((args.old, args.new), srcs):
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             parser.error(f"no src/sigmafp/cli.py under {tree}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        calls = call_lists(tmp, args.fixtures_only, args.samples)
+        calls = call_lists(tmp, args.fixtures_only)
         calls_file = tmp / "calls.json"
         calls_file.write_text(json.dumps(calls))
         procs = [run_tree(src, calls_file, tmp / f"{name}.jsonl")
