@@ -9,6 +9,7 @@ error (a failed soundness check).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -236,7 +237,9 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = _Parser(prog="sigmafp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -205,10 +205,11 @@ def cone_contains_line(c: ConvexCone) -> bool:
 
 def cone_sum(a: ConvexCone, b: ConvexCone) -> ConvexCone:
     """Minkowski sum; since both cones contain 0 this is the union of
-    generator sets."""
+    generator sets.  Both sets are canonical already (every cone is built by
+    `cone`), so they are merged without rescaling."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return cone(a.generators + b.generators, ambient_dim=a.ambient_dim)
+    return ConvexCone(a.ambient_dim, tuple(sorted(set(a.generators).union(b.generators))))
 
 
 def cone_neg(c: ConvexCone) -> ConvexCone:

@@ -11,6 +11,13 @@ package: it is the inner step of `_eliminate`, the kernel behind `rref`,
 the signed product of the pivots `_eliminate` meets, and the inverse is the
 right half of the reduced `[M | I]`.
 
+`pivot` updates its rows in place and does no arithmetic on zeros: it
+scales only the pivot row's nonzero columns and updates only those columns
+of rows with a nonzero entry in the pivot column, and the pivot column
+itself becomes exactly 1 and 0 without arithmetic.  `vec_dot` likewise
+skips every pair that holds a zero.  Skipping changes no value, only the
+number of `Fraction`s built.
+
 Full row rank, and with it "do two subspaces meet only in 0?", is decided
 modulo the prime P = 2**61 - 1 first.  Each row is scaled by the lcm of its
 denominators to an integer row and reduced mod P; if those residue rows are
@@ -40,7 +47,8 @@ P = (1 << 61) - 1
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as a tuple of `Fraction`s; entries that already are one are kept."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vector(n: int) -> Vector:
@@ -60,7 +68,8 @@ def vec_neg(v: Vector) -> Vector:
 
 
 def vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    """Exact dot product; pairs with a zero entry are skipped, so all-zero products give ZERO."""
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -124,13 +133,25 @@ class Matrix:
 
 
 def pivot(work: list[list[Fraction]], r: int, c: int) -> None:
-    """Scale row r to 1 in column c, then clear column c from every other row, in place."""
-    inv = 1 / work[r][c]
-    row = work[r] = [inv * a for a in work[r]]
+    """Scale row r to 1 in column c, then clear column c from every other row.
+
+    Rows are updated in place, so the caller must own them.  Only the pivot
+    row's nonzero columns are touched, and only in rows with a nonzero entry
+    in column c: everywhere else `a - f * b` would leave `a` as it is.
+    Column c itself is set to its known result, 1 in row r and 0 elsewhere.
+    """
+    row = work[r]
+    inv = 1 / row[c]
+    nonzero = [j for j, a in enumerate(row) if a and j != c]
+    for j in nonzero:
+        row[j] = inv * row[j]
+    row[c] = ONE
     for i, other in enumerate(work):
-        if i != r and other[c] != 0:
-            f = other[c]
-            work[i] = [a - f * b for a, b in zip(other, row)]
+        f = other[c]
+        if f and i != r:
+            for j in nonzero:
+                other[j] -= f * row[j]
+            other[c] = ZERO
 
 
 def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[Fraction], int]:
@@ -148,7 +169,7 @@ def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:

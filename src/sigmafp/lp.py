@@ -17,6 +17,13 @@ column as y_i = 1 - z[artificial i] or y_i = -z[slack i], is a Farkas
 certificate of infeasibility.  Unbounded phase-2 runs return an explicit
 improving ray.
 
+The hot loops do no arithmetic on zero entries, which leaves every value,
+pivot sequence and certificate as it would be without the skipping: `pivot`
+touches only the pivot row's nonzero columns, the reduced-cost row is built
+from the nonzero entries of the basic rows whose cost is nonzero, and
+`verify_farkas` aggregates only rows with a nonzero multiplier (it still
+rejects a negative multiplier on any row).
+
 Outcomes are meant to be re-checked by substitution: `verify_point`,
 `verify_farkas`, and `verify_ray` perform those exact checks.
 """
@@ -153,8 +160,10 @@ class _Tableau:
         z = cost + [ZERO]
         for r, b in enumerate(self.basis):
             cb = cost[b]
-            if cb != 0:
-                z = [a - cb * x for a, x in zip(z, rows[r])]
+            if cb:
+                for j, x in enumerate(rows[r]):
+                    if x:
+                        z[j] -= cb * x
         rows.append(z)
         while True:
             entering = next((j for j in allowed if rows[m][j] < 0), None)
@@ -293,10 +302,14 @@ def verify_farkas(lp: LinearProgram, mult: Vector) -> bool:
     for y, c in zip(mult, lp.constraints):
         if c.relation != EQ and y < 0:
             return False
-        s = -ONE if c.relation == GE else ONE
+        if not y:
+            continue
+        ys = -y if c.relation == GE else y
         for j, a in enumerate(c.coeffs):
-            agg[j] += y * s * a
-        beta += y * s * c.rhs
+            if a:
+                agg[j] += ys * a
+        if c.rhs:
+            beta += ys * c.rhs
     for j, a in enumerate(agg):
         if j in lp.nonneg_vars:
             if a < 0:

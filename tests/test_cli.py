@@ -281,3 +281,16 @@ def test_check_fp_solves_one_slice_lp_on_f1(f1, tmp_path, capsys, solved_lps):
     assert "check-fp [Lemma: Γ ∩ S° = {0}] → finitely presented" in out
     # two tameness LPs (one per factor) and one slice LP
     assert len(solved_lps) == 3
+
+
+def test_one_parser_serves_successive_calls(f1, tmp_path, capsys):
+    # The parser is built once per process; an option given to one call
+    # must not carry over to the next.
+    sub = subspace_file(tmp_path, [[1, -1]])
+    assert run(capsys, ["check-fp", f1])[0] == 1  # no --subspace
+    code, out, _ = run(capsys, ["check-fp", f1, "--subspace", sub, "--certify"])
+    assert code == 0 and "certificate [" in out and "vsp margin:" in out
+    code, out, _ = run(capsys, ["check-fp", f1, "--subspace", sub])
+    assert code == 0
+    assert out == "check-fp [Lemma: Γ ∩ S° = {0}] → finitely presented\n"
+    assert cli._build_parser() is cli._build_parser()

@@ -272,6 +272,25 @@ def test_cone_sum_contains_pairwise_sums(pair):
 
 
 @st.composite
+def overlapping_cone_pairs(draw):
+    # Zero cones, shared rays and rescaled copies of a's rays all occur.
+    dim = draw(st.integers(1, 3))
+    a = cone(draw(st.lists(rays(dim), max_size=3)), ambient_dim=dim)
+    shared = [tuple(F(s) * e for e in g) for g, s in zip(a.generators, draw(
+        st.lists(st.integers(1, 5), max_size=len(a.generators))))]
+    b = cone(shared + draw(st.lists(rays(dim), max_size=2)), ambient_dim=dim)
+    return a, b
+
+
+@given(overlapping_cone_pairs())
+@settings(max_examples=60, deadline=None)
+def test_cone_sum_equals_cone_of_both_generator_sets(pair):
+    a, b = pair
+    assert cone_sum(a, b) == cone(a.generators + b.generators, ambient_dim=a.ambient_dim)
+    assert cone_sum(a, b) == cone_sum(b, a)
+
+
+@st.composite
 def line_pieces(draw, dim):
     r = draw(rays(dim))
     extra = draw(st.lists(rays(dim), max_size=2))

@@ -19,7 +19,9 @@ from sigmafp.linalg import (
     kernel_basis,
     rank,
     rref,
+    pivot,
     subspaces_intersect_trivially,
+    vec_dot,
     vector,
 )
 
@@ -292,3 +294,67 @@ def test_cached_residues_are_invisible():
     serial = run_measure_experiment(p, k=4, samples=40, seed=3)
     pooled = run_measure_experiment(p, k=4, samples=40, seed=3, jobs=2)
     assert {**vars(serial), "elapsed_ms": 0} == {**vars(pooled), "elapsed_ms": 0}
+
+
+# Sparse entries like the simplex's: mostly 0 and +/-1, some small fractions.
+sparse_entries = st.one_of(
+    st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1)]), small_fracs
+)
+
+
+def dense_pivot(work, r, c):
+    """Reference pivot: every entry of every row, as new lists."""
+    inv = 1 / work[r][c]
+    row = [inv * a for a in work[r]]
+    return [row if i == r else [a - other[c] * b for a, b in zip(other, row)]
+            for i, other in enumerate(work)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pivot_matches_dense_reference(data):
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 6))
+    work = data.draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    nonzero = [(i, j) for i, row in enumerate(work) for j, a in enumerate(row) if a]
+    if not nonzero:
+        return
+    r, c = data.draw(st.sampled_from(nonzero))
+    expected = dense_pivot(work, r, c)
+    row_objects = list(work)
+    pivot(work, r, c)
+    assert work == expected
+    assert all(type(a) is Fraction for row in work for a in row)
+    # rows are updated in place
+    assert all(a is b for a, b in zip(work, row_objects))
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_det_inverse_leave_their_input_unchanged(m):
+    before = Matrix.from_rows([list(row) for row in m.entries])
+    rref(m)
+    if m.rows == m.cols:
+        det(m)
+        try:
+            inverse(m)
+        except ValueError:
+            pass
+    assert m == before
+    assert all(type(row) is tuple for row in m.entries)
+
+
+def test_vec_dot_skips_zero_products():
+    assert vec_dot(vector([0, 3, 0]), vector([5, 0, 0])) == 0
+    assert type(vec_dot(vector([0, 3]), vector([5, 0]))) is Fraction
+    assert type(vec_dot((), ())) is Fraction
+    assert vec_dot(vector([0, 3, Fraction(1, 2)]), vector([7, 2, -4])) == 4
+
+
+def test_vector_keeps_fraction_entries():
+    half = Fraction(1, 2)
+    v = vector([half, 2, "3/4"])
+    assert v == (half, Fraction(2), Fraction(3, 4))
+    assert v[0] is half
+    assert all(type(a) is Fraction for a in v)

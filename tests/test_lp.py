@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -189,12 +190,10 @@ def _starts_on_slack(c: lp.Constraint) -> bool:
     return (c.relation == lp.LE and c.rhs >= 0) or (c.relation == lp.GE and c.rhs <= 0)
 
 
-def test_feasibility_from_slack_start_matches_vertex_oracle(simplex_pivots):
-    # Mixed "<=", ">=" and "=" rows with right-hand sides of every sign:
-    # the verdict must agree with vertex enumeration, and both kinds of
-    # certificate must verify, whichever rows start on their slacks.
+def _seeded_feasibility_lps():
+    """400 small feasibility LPs over x >= 0: mixed "<=", ">=" and "=" rows
+    with integer coefficients and right-hand sides of every sign."""
     rnd = random.Random(8)
-    seen = {"all_on_slack": 0, "infeasible": 0, "slack_row_in_farkas": 0}
     for _ in range(400):
         n = rnd.randint(1, 3)
         constraints = tuple(
@@ -205,7 +204,16 @@ def test_feasibility_from_slack_start_matches_vertex_oracle(simplex_pivots):
             )
             for _ in range(rnd.randint(1, 4))
         )
-        problem = lp.feasibility(n, constraints, nonneg_vars=range(n))
+        yield lp.feasibility(n, constraints, nonneg_vars=range(n))
+
+
+def test_feasibility_from_slack_start_matches_vertex_oracle(simplex_pivots):
+    # Mixed "<=", ">=" and "=" rows with right-hand sides of every sign:
+    # the verdict must agree with vertex enumeration, and both kinds of
+    # certificate must verify, whichever rows start on their slacks.
+    seen = {"all_on_slack": 0, "infeasible": 0, "slack_row_in_farkas": 0}
+    for problem in _seeded_feasibility_lps():
+        constraints = problem.constraints
         simplex_pivots[0] = 0
         out = lp.solve(problem)
         if out.status == "infeasible":
@@ -231,3 +239,67 @@ def test_measure_rows_keep_their_simplex_pivots(simplex_pivots):
     for fixture, k in (("f1", 1), ("f2", 4), ("f3", 1), ("f4", 2), ("f4", 3)):
         run_measure_experiment(load_fixture(fixture), k, 200, 42)
     assert simplex_pivots[0] == 1663
+
+
+def dense_verify_farkas(problem, mult):
+    """Reference Farkas check: every row and every coefficient, zeros included."""
+    if len(mult) != len(problem.constraints):
+        return False
+    agg = [F(0)] * problem.num_vars
+    beta = F(0)
+    for y, c in zip(mult, problem.constraints):
+        if c.relation != lp.EQ and y < 0:
+            return False
+        s = -1 if c.relation == lp.GE else 1
+        for j, a in enumerate(c.coeffs):
+            agg[j] += y * s * a
+        beta += y * s * c.rhs
+    for j, a in enumerate(agg):
+        if (a < 0) if j in problem.nonneg_vars else (a != 0):
+            return False
+    return beta < 0
+
+
+def _perturbed_multipliers(mult, rnd):
+    m = len(mult)
+    yield mult
+    yield tuple(2 * y for y in mult)
+    for i in range(m):
+        for delta in (F(1), F(-1), F(1, 2)):
+            yield mult[:i] + (mult[i] + delta,) + mult[i + 1:]
+        yield mult[:i] + (F(0),) + mult[i + 1:]
+        # a negative multiplier after rows whose multiplier is zero
+        yield (F(0),) * i + (F(-1),) + mult[i + 1:]
+    yield tuple(F(rnd.choice([0, 0, 1, -1, 2])) for _ in range(m))
+
+
+def test_verify_farkas_matches_dense_reference_on_seeded_lps():
+    rnd = random.Random(9)
+    verdicts = {True: 0, False: 0}
+    negative_after_zeros = 0
+    for problem in _seeded_feasibility_lps():
+        out = lp.solve(problem)
+        base = out.farkas if out.status == "infeasible" else (F(1),) * len(problem.constraints)
+        free = lp.feasibility(problem.num_vars, problem.constraints)
+        for p in (problem, free):
+            for mult in _perturbed_multipliers(base, rnd):
+                expected = dense_verify_farkas(p, mult)
+                assert lp.verify_farkas(p, mult) == expected, (p, mult)
+                verdicts[expected] += 1
+                first = next((i for i, y in enumerate(mult) if y), None)
+                if (first and mult[first] < 0
+                        and p.constraints[first].relation != lp.EQ):
+                    assert not lp.verify_farkas(p, mult)
+                    negative_after_zeros += 1
+        assert not lp.verify_farkas(problem, base[:-1])
+    assert min(verdicts.values()) >= 100 and negative_after_zeros >= 100, (
+        verdicts, negative_after_zeros)
+
+
+def test_solve_leaves_its_lp_unchanged():
+    problems = list(_seeded_feasibility_lps())[:100] + [_simplex_line_distance_lp()]
+    for problem in problems:
+        before = pickle.loads(pickle.dumps(problem))
+        lp.solve(problem)
+        assert problem == before
+        assert all(type(c.coeffs) is tuple for c in problem.constraints)
