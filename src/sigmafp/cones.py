@@ -23,7 +23,7 @@ and cone-meets-subspace differ only in E and G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -89,11 +89,6 @@ def cone(generators: Iterable, ambient_dim: int | None = None) -> ConvexCone:
     return ConvexCone(ambient_dim, tuple(sorted(set(rays))))
 
 
-def _field_state(obj) -> dict:
-    """Pickle state of a frozen dataclass: its fields, without cached properties."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 @dataclass(frozen=True)
 class ConeUnion:
     """Finite union of convex cones; no pieces means the set {0}.
@@ -106,7 +101,8 @@ class ConeUnion:
     ambient_dim: int
     pieces: tuple[ConvexCone, ...]
 
-    __getstate__ = _field_state
+    def __getstate__(self) -> dict:
+        return {"ambient_dim": self.ambient_dim, "pieces": self.pieces}
 
     @cached_property
     def _compiled(self) -> "_CompiledUnion":

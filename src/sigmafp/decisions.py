@@ -25,7 +25,6 @@ from .cones import (
     IntersectionWitness,
     canonical_ray,
     cone,
-    cone_contains,
     cone_contains_line,
     cone_dim,
     cone_neg,
@@ -51,6 +50,7 @@ from .grassmann import (
     chart,
     chart_to_point,
     is_virtual_subdirect,
+    rows_avoid_blocks,
     sample_point,
     subspace_point,
 )
@@ -158,27 +158,29 @@ def _slice_distance(piece: ConvexCone, w: Subspace) -> Fraction:
     return outcome.value
 
 
-def _vsp_margin_for_block(w: Subspace, block: Subspace) -> Optional[Fraction]:
-    """Perturbation bound keeping w independent from one factor block.
+def _vsp_margin_for_block(w: Subspace, block: tuple[int, int]) -> Optional[Fraction]:
+    """Perturbation bound keeping w meeting the block [a, b) only in 0.
 
-    Picks a nonvanishing maximal minor D of the stacked basis and bounds the
-    first-order determinant drift by the cofactors of the perturbable
-    entries (the non-pivot columns of w's RREF basis); by Cramer's rule the
-    cofactor at (r, j) is D inv(D)[j][r], so |D| / (2 sum |cofactor|) needs
-    only inv(D).  None when no perturbable entry touches the minor.
+    Picks the l x l minor D of w's RREF basis W on the pivots of
+    rref(W[:, outside the block]) and bounds the first-order drift of det D
+    by the cofactors of the perturbable entries (the non-pivot columns of
+    W); by Cramer's rule the cofactor at (r, j) is D inv(D)[j][r], so
+    |D| / (2 sum |cofactor|) needs only inv(D).  None when no perturbable
+    entry touches the minor.  It equals the stacked bound: [W; E_block]
+    has the block's columns plus these as greedy pivots, and its minor's
+    inverse on W's rows is inv(D) padded with zeros.
     """
-    stacked = w.basis.stack(block.basis)
-    _, cols = rref(stacked)
+    a, b = block
+    outside = [*range(a), *range(b, w.ambient_dim)]
+    _, pivots = rref(submatrix_columns(w.basis, outside))
+    cols = [outside[j] for j in pivots]
     try:
-        inv = inverse(submatrix_columns(stacked, cols))
+        inv = inverse(submatrix_columns(w.basis, cols))
     except ValueError:
-        raise RuntimeError("internal error: the stacked pivot minor vanishes") from None
-    pivot_set = set(w.pivot_columns)
-    total = ZERO
-    for r in range(w.dim):
-        for j, c in enumerate(cols):
-            if c not in pivot_set:
-                total += abs(inv.entries[j][r])
+        raise RuntimeError("internal error: the pivot minor off the block vanishes") from None
+    # inv is l x l, so each of its columns stands for a row of W.
+    perturbable = (row for row, c in zip(inv.entries, cols) if c not in w.pivot_columns)
+    total = sum((abs(x) for row in perturbable for x in row), ZERO)
     if total == 0:
         return None
     return 1 / (2 * total)
@@ -194,10 +196,11 @@ def openness_certificate(
     nontrivially or contains a line (which admits no slice argument).  Since
     RREF coefficients are read off pivot coordinates, an intersection after a
     delta-perturbation would force a positive d below l * R0 * delta, so
-    d / (2 l R0) is a sound bound.  The virtual-subdirect margin bounds the
-    drift of a nonvanishing stacked minor.  Errors take precedence in the
-    order NotVirtualSubdirect, NotFinitelyPresented, NonPointedPiece; at
-    d = 0 the exact FP decision picks between the last two.
+    d / (2 l R0) is a sound bound.  The virtual-subdirect margin bounds, per
+    block, the drift of a nonvanishing minor of the basis off that block.
+    Errors take precedence in the order NotVirtualSubdirect,
+    NotFinitelyPresented, NonPointedPiece; at d = 0 the exact FP decision
+    picks between the last two.
     """
     _require_vsp(pt, p)
     l = pt.subspace.dim
@@ -216,8 +219,7 @@ def openness_certificate(
             per_piece.append((idx, dist))
             r0 = max(linf_norm(gen) for gen in piece.generators)
             bounds.append(dist / (2 * l * r0))
-    blocks = range(len(p.factors)) if l > 0 else ()
-    margins = [_vsp_margin_for_block(pt.subspace, p.block_subspaces[i]) for i in blocks]
+    margins = [_vsp_margin_for_block(pt.subspace, block) for block in p.blocks]
     vsp_margin = min((b for b in margins if b is not None), default=None)
     delta = min(bounds + ([vsp_margin] if vsp_margin is not None else []), default=ONE)
     return OpennessCertificate(
@@ -263,16 +265,9 @@ def _avoiding_directions(sigma: ConeUnion) -> Iterator[Vector]:
     The bad directions form finitely many closed angular sectors bounded by
     generator rays and their negatives, so every open gap between adjacent
     boundary directions is entirely good or entirely bad; each gap yields two
-    non-parallel interior candidates which are then verified exactly.
-    Tameness guarantees at least one good gap exists.
+    non-parallel interior candidates, each verified exactly: its span meets
+    the union only in 0.  Tameness guarantees at least one good gap exists.
     """
-
-    def good(v: Vector) -> bool:
-        nv = vec_neg(v)
-        return not any(
-            cone_contains(piece, v) or cone_contains(piece, nv) for piece in sigma.pieces
-        )
-
     dirs: set[Vector] = set()
     for piece in sigma.pieces:
         for g in piece.generators:
@@ -301,7 +296,7 @@ def _avoiding_directions(sigma: ConeUnion) -> Iterator[Vector]:
         else:
             continue
         for v in candidates:
-            if good(v):
+            if union_meets_subspace(sigma, Subspace.span([v])) is None:
                 yield v
 
 
@@ -400,12 +395,11 @@ def construct_rho(p: ProductSpace) -> RhoConstruction:
             rho=rho, verified=True, point=_rho_point(p, rho), method=method, **extras
         )
 
-    if m == 1:
-        for c in (-ONE, ONE):
-            rho = Matrix.from_rows([[c]])
-            if _unions_meet_only_at_zero(s1, _apply_to_union(rho, s2)):
-                return finish(rho, "sign-scan")
-        raise ConstructionFailed("no orientation works; tame rank-1 data cannot do this")
+    if m == 1:  # the scan's check on each sign is its post-check
+        try:
+            return finish(Matrix.from_rows([[-ONE]]), "sign-scan")
+        except ConstructionFailed:
+            return finish(Matrix.from_rows([[ONE]]), "sign-scan")
     if m == 2:
         try:
             v1 = next(_avoiding_directions(s1))
@@ -486,14 +480,8 @@ def construct_nonfp_witness(p: ProductSpace, k: int) -> SubspacePoint:
     seed = vec_add(chi, psi)
     n = p.total_dim
 
-    def avoids_blocks(rows: list[Vector]) -> bool:
-        space = Subspace.span(rows, ambient_dim=n)
-        return space.dim == len(rows) and is_virtual_subdirect(
-            SubspacePoint(space, n - space.dim), p
-        )
-
-    cap = n * n * (len(p.factors) + 2)
-    rows = _greedy_rows(chain([seed], _extension_candidates(n, cap)), n - k, avoids_blocks)
+    candidates = chain([seed], _extension_candidates(n, n * n * (len(p.factors) + 2)))
+    rows = _greedy_rows(candidates, n - k, lambda r: rows_avoid_blocks(Matrix.from_rows(r), p))
     if rows[:1] != [seed]:  # the seed ray spans two blocks
         raise RuntimeError("internal error: the seed ray meets a factor block")
     if len(rows) != n - k:

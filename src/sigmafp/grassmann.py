@@ -4,6 +4,9 @@ A subgroup of rank k in a product of total dual dimension N corresponds to
 the (N-k)-dimensional subspace of functionals vanishing on it.  Points are
 stored as canonical RREF subspaces together with k.  Charts follow the
 [I | A] row-echelon parametrisation of the complements of a fixed subspace.
+A point is a virtual subdirect product iff S meets each factor block [a, b)
+only in 0, iff S's basis restricted to the columns outside [a, b) has full
+row rank; no block subspace is built.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, full_row_rank, subspaces_intersect_trivially, vec_add, vec_scale
+from .linalg import Matrix, Subspace, full_row_rank, vec_add, vec_scale
 from .product import ProductSpace
 from .randstream import CounterStream
 
@@ -80,13 +83,20 @@ def chart_to_point(c: Chart) -> SubspacePoint:
     return subspace_point(Subspace.span(rows, ambient_dim=n), k)
 
 
+def rows_avoid_blocks(rows: Matrix, p: ProductSpace, residues=None) -> bool:
+    """True iff the rows are independent and span a subspace meeting every
+    block only in 0; `residues`, if given, are the rows' residues mod P."""
+    n = p.total_dim
+    return all(full_row_rank(rows, residues, [*range(a), *range(b, n)]) for a, b in p.blocks)
+
+
 def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
     """True iff the point's subspace meets every factor block only in 0."""
     if pt.subspace.ambient_dim != p.total_dim:
         raise ValueError("ambient dimension mismatch")
     if pt.k < p.max_rank:
         raise ValueError(f"k={pt.k} below the maximal factor rank {p.max_rank}")
-    return all(subspaces_intersect_trivially(pt.subspace, b) for b in p.block_subspaces)
+    return rows_avoid_blocks(pt.subspace.basis, p, pt.subspace._residues)
 
 
 def sample_rows(n_rows: int, n_cols: int, seed: int, index: int, attempt: int = 0):

@@ -18,14 +18,14 @@ itself becomes exactly 1 and 0 without arithmetic.  `vec_dot` likewise
 skips every pair that holds a zero.  Skipping changes no value, only the
 number of `Fraction`s built.
 
-Full row rank, and with it "do two subspaces meet only in 0?", is decided
-modulo the prime P = 2**61 - 1 first.  Each row is scaled by the lcm of its
-denominators to an integer row and reduced mod P; if those residue rows are
-independent over F_P, some maximal minor of the integer rows is nonzero mod
-P, hence a nonzero integer, so the rows are independent over Q.  Only a
-rank deficient mod P falls back to the exact `rank`.  A verdict therefore
-never depends on P, only the time taken to reach it.  A `Subspace` keeps its
-residue rows once computed.
+Full row rank, on all columns or on a subset, and with it "do two subspaces
+meet only in 0?", is decided modulo the prime P = 2**61 - 1 first.  Each row
+is scaled by the lcm of its denominators to an integer row and reduced mod
+P; if those residue rows are independent over F_P, some maximal minor of
+the integer rows is nonzero mod P, hence a nonzero integer, so the rows are
+independent over Q.  Only a rank deficient mod P falls back to the exact
+`rank`.  A verdict therefore never depends on P, only the time taken to
+reach it.  A `Subspace` keeps its residue rows once computed.
 """
 
 from __future__ import annotations
@@ -227,14 +227,27 @@ def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def full_row_rank(m: Matrix, residues: Sequence[Sequence[int]] | None = None) -> bool:
-    """True iff m's rows are linearly independent over Q.
+def full_row_rank(
+    m: Matrix,
+    residues: Sequence[Sequence[int]] | None = None,
+    columns: Sequence[int] | None = None,
+) -> bool:
+    """True iff m's rows, restricted to `columns` (all by default), are
+    linearly independent over Q.
 
     Independence mod P settles it; only a rank deficient mod P is re-decided
-    by the exact `rank`.  `residues`, when given, must be `_residue_rows(m)`.
+    by the exact `rank` of the `Fraction` submatrix, built only then.
+    `residues`, when given, must be `_residue_rows(m)`; restricted, they are
+    residues of integer multiples of the restricted rows.
     """
-    if _independent_mod_p(_residue_rows(m) if residues is None else residues):
+    if residues is None:
+        residues = _residue_rows(m)
+    if columns is not None:
+        residues = [[row[c] for c in columns] for row in residues]
+    if _independent_mod_p(residues):
         return True
+    if columns is not None:
+        m = submatrix_columns(m, columns)
     return rank(m) == m.rows
 
 

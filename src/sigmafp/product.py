@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cones import (
     ConeUnion,
     ConvexCone,
-    _field_state,
     cone,
     cone_sum,
     cone_union,
@@ -59,15 +58,6 @@ class ProductSpace:
     blocks: tuple[tuple[int, int], ...]  # half-open [start, stop) per factor
     max_rank: int
 
-    __getstate__ = _field_state
-
-    @cached_property
-    def block_subspaces(self) -> tuple[Subspace, ...]:
-        """Each factor's coordinate block as a subspace, computed once per
-        instance and kept outside the fields (equality, hash, repr and
-        pickles ignore it)."""
-        return tuple(block_subspace(self, i) for i in range(len(self.factors)))
-
 
 def product_space(factors: Sequence[FactorSpec]) -> ProductSpace:
     if not factors:
@@ -98,6 +88,8 @@ def embed_factor(p: ProductSpace, i: int, x: Iterable) -> Vector:
 
 @lru_cache(maxsize=256)
 def block_subspace(p: ProductSpace, i: int) -> Subspace:
+    """Factor i's coordinate block as a subspace: public API, the tests' vsp
+    reference and a traced function of the benchmark.  No decision calls it."""
     start, stop = p.blocks[i]
     rows = []
     for c in range(start, stop):

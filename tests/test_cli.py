@@ -152,9 +152,9 @@ def test_construct_rho_decides_each_factor_tame_once_on_f1(f1, capsys, solved_lp
     code, _, _ = run(capsys, ["construct-rho", f1])
     assert code == 0
     # one tameness LP per factor, shared by validation and construct_rho; the
-    # sign scan's line LP for rho = -1 and its post-check; one slice LP for
-    # the point's check-fp
-    assert len(solved_lps) == 5
+    # sign scan's line LP for rho = -1, which is also its post-check; one
+    # slice LP for the point's check-fp
+    assert len(solved_lps) == 4
 
 
 def test_nonfp_commands(f1, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -229,7 +230,7 @@ def test_vsp_margin_equals_cofactor_bound_without_determinants(monkeypatch):
                 for name in ("det", "cofactor"):
                     m.setattr(linalg, name, None)
                     m.setattr(decisions, name, None, raising=False)
-                assert decisions._vsp_margin_for_block(w, block) == expected
+                assert decisions._vsp_margin_for_block(w, p.blocks[i]) == expected
             checked += 1
     assert checked >= 10
 
@@ -532,7 +533,7 @@ def test_compiled_state_stays_out_of_equality_hash_repr_and_pickles():
     assert union_is_tame(gamma)
     assert union_dim(gamma) == 2
     assert {"_compiled", "_tame", "_dim"} <= vars(gamma).keys()
-    assert "block_subspaces" in vars(p)
+    assert vars(p).keys() == {f.name for f in dataclasses.fields(p)}
     fresh_p = load_fixture("f1")
     fresh_gamma = build_gamma(assemble_sigma(fresh_p))
     for used, fresh in ((gamma, fresh_gamma), (p, fresh_p)):
@@ -541,7 +542,7 @@ def test_compiled_state_stays_out_of_equality_hash_repr_and_pickles():
         assert repr(used) == repr(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         assert pickle.loads(pickle.dumps(used)) == fresh
-    # workers receive the product without its blocks and compile Γ afresh
+    # workers receive Γ without its compiled state and compile it afresh
     serial = run_measure_experiment(p, k=1, samples=40, seed=3)
     pooled = run_measure_experiment(p, k=1, samples=40, seed=3, jobs=2)
     assert serial.nonfp_count > 0

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import rank_oracle
+from sigmafp import linalg
 from sigmafp.cones import cone, cone_union
+from sigmafp.formats import load_fixture
 from sigmafp.grassmann import (
     chart,
     chart_to_point,
     is_virtual_subdirect,
+    rows_avoid_blocks,
     sample_point,
     sample_rows,
     subspace_point,
@@ -96,6 +102,78 @@ def test_is_virtual_subdirect_requires_k_at_least_max_rank():
     pt = subspace_point(Subspace.span([[1, 0, 1], [0, 1, 1]]), 1)
     with pytest.raises(ValueError):
         is_virtual_subdirect(pt, p)
+
+
+P = (1 << 61) - 1
+
+# Small entries make dependent rows common; P and 1/P make rows that are
+# dependent mod P yet independent over Q.
+entries = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([P, F(1, P)]),
+)
+
+
+@st.composite
+def vsp_cases(draw):
+    """A product of 1-4 factors of rank 1-3 and raw rows: random, holding a
+    vector of one block, or none at all (S° = 0)."""
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    p = product_space([factor_spec(f"f{i}", r, cone_union([], ambient_dim=r)) for i, r in enumerate(ranks)])
+    n = p.total_dim
+    kind = draw(st.sampled_from(["random", "block", "zero"]))
+    most = 0 if kind == "zero" else n - p.max_rank
+    count = draw(st.integers(min(1, most), most))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(count)]
+    if kind == "block" and rows:
+        a, b = p.blocks[draw(st.integers(0, len(ranks) - 1))]
+        rows[0] = [x if a <= c < b else 0 for c, x in enumerate(rows[0])]
+        rows[0][a] = 1
+    return p, rows
+
+
+def block_rows(p, i):
+    a, b = p.blocks[i]
+    return [[1 if c == j else 0 for c in range(p.total_dim)] for j in range(a, b)]
+
+
+def avoids_blocks_oracle(p, rows):
+    """Rows independent and meeting each block only in 0: rank [R; E_i] = |R| + r_i."""
+    return all(
+        rank_oracle(rows + block_rows(p, i)) == len(rows) + f.rank for i, f in enumerate(p.factors)
+    )
+
+
+@given(vsp_cases())
+@settings(max_examples=150, deadline=None)
+def test_vsp_test_matches_stacked_rank_oracle(case):
+    p, rows = case
+    n = p.total_dim
+    assert rows_avoid_blocks(Matrix(len(rows), n, tuple(map(linalg.vector, rows))), p) == (
+        avoids_blocks_oracle(p, rows)
+    )
+    space = Subspace.span(rows, ambient_dim=n)
+    basis = [list(r) for r in space.basis.entries]
+    pt = subspace_point(space, n - space.dim)
+    assert is_virtual_subdirect(pt, p) == avoids_blocks_oracle(p, basis)
+
+
+def test_vsp_point_deficient_mod_p_falls_back_once(monkeypatch):
+    # S° = span{(p, 1)} has RREF row (1, 1/p), scaled to (p, 1) = (0, 1) mod p:
+    # off the first block it reads 1, off the second 0 mod p, where only the
+    # exact rank of the 1 x 1 submatrix (1) decides.
+    seen = []
+    real_rank = linalg.rank
+
+    def counting_rank(m):
+        seen.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    pt = subspace_point(Subspace.span([[P, 1]]), 1)
+    assert is_virtual_subdirect(pt, load_fixture("f1"))
+    assert seen == [Matrix.from_rows([[1]])]
 
 
 def test_sample_point_deterministic():

@@ -1,6 +1,7 @@
 """Package-level properties: no bare asserts, and `python -m sigmafp`."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -61,3 +62,24 @@ def test_optimised_check_vsp_reaches_the_exact_fallback(tmp_path):
     assert done.returncode == 0
     assert done.stdout == "check-vsp [Lemma: S° ∩ G_i* = {0} for each i] → virtual subdirect product\n"
     assert done.stderr == ""
+
+
+def test_benchmark_tracer_targets_resolve():
+    # benchmarks/tracing.py wraps these functions by name and reads two
+    # caches; renaming or deleting one would break a traced run silently.
+    tracing = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    )
+    assert wrapped
+    for module, attr in wrapped:
+        owner = importlib.import_module(f"sigmafp.{module}")
+        for name in attr.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), (module, attr)
+    for module, attr in (("product", "block_subspace"), ("cones", "_cone_span")):
+        info = getattr(importlib.import_module(f"sigmafp.{module}"), attr).cache_info()
+        assert info.maxsize > 0
