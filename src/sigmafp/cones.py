@@ -11,7 +11,8 @@ meets it nontrivially.  A union compiles its generator matrices, spans,
 pointedness and maximal pieces once, on the instance.  A subspace that meets
 a piece meets every piece whose generators include that piece's, so
 `union_meets_subspace` decides on the maximal pieces alone and scans the full
-piece order only to name the witness.
+piece order only to name the witness; `union_avoids_subspace` gives the
+verdict alone and never names one.
 
 A non-pointed piece has 0 on its slice, so there, and to name the witness
 once a slice LP is feasible, the question is normalised per coordinate: a
@@ -36,7 +37,6 @@ from .linalg import (
     Vector,
     constraint_rows,
     is_zero_vector,
-    rank,
     subspaces_intersect_trivially,
     vec_neg,
     vector,
@@ -151,12 +151,16 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
 
 
 # Each compiled union keeps its pieces' spans, so this cache serves
-# cones_meet_nontrivially and equal cones parsed again by later calls in the
-# same process.  64 entries: cli-mix's largest Γ has 15 pieces, and traced
-# allocations over its calls held 1.95 MB at 64 against 3.64 MB at 1024.
+# cone_dim, cones_meet_nontrivially and equal cones parsed again by later
+# calls in the same process.  64 entries: cli-mix's largest Γ has 15 pieces,
+# and traced allocations over its calls held 1.95 MB at 64 against 3.64 MB
+# at 1024.
 @lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
-    return Subspace.span(list(c.generators), ambient_dim=c.ambient_dim)
+    # Canonical rays have integer coordinates, so the span is kept on its
+    # generators whenever they are independent.
+    numerators = [[a.numerator for a in g] for g in c.generators]
+    return Subspace.of_integer_rows(c.ambient_dim, numerators)
 
 
 def cone_contains(c: ConvexCone, x) -> bool:
@@ -178,9 +182,7 @@ def cone_contains(c: ConvexCone, x) -> bool:
 
 
 def cone_dim(c: ConvexCone) -> int:
-    if not c.generators:
-        return 0
-    return rank(Matrix.from_rows(list(c.generators)))
+    return _cone_span(c).dim
 
 
 def _slice_lp(a: Matrix) -> lp.LinearProgram:
@@ -340,6 +342,10 @@ class _Scan:
             return None if lp.solve(_slice_lp(kg)).status == "infeasible" else kg
         return _first_witness(_normalised_lps(kg, g), g, i)
 
+    def maximal_piece_meets(self) -> bool:
+        """Whether w meets the union beyond 0: some maximal piece meets it."""
+        return any(self.outcome(piece) is not None for piece in self.compiled.maximal)
+
     def witness(self, piece: tuple[int, Matrix, Subspace]) -> Optional[IntersectionWitness]:
         found = self.outcome(piece)
         if not isinstance(found, Matrix):
@@ -365,7 +371,7 @@ def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitn
         raise ValueError("ambient dimension mismatch")
     compiled = u._compiled
     scan = _Scan(compiled, w)
-    if all(scan.outcome(piece) is None for piece in compiled.maximal):
+    if not scan.maximal_piece_meets():
         return None
     for piece in compiled.pieces:
         witness = scan.witness(piece)
@@ -374,6 +380,17 @@ def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitn
     raise RuntimeError(
         "internal error: a maximal piece meets the subspace but no piece names a witness"
     )
+
+
+def union_avoids_subspace(u: ConeUnion, w: Subspace) -> bool:
+    """True iff the union meets the subspace w only in 0.
+
+    The verdict of `union_meets_subspace` without its witness: it stops at
+    the maximal pieces, so a union that meets w costs no second scan.
+    """
+    if u.ambient_dim != w.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return not _Scan(u._compiled, w).maximal_piece_meets()
 
 
 def union_is_tame(u: ConeUnion) -> bool:

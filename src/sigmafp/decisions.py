@@ -30,6 +30,7 @@ from .cones import (
     cone_neg,
     cone_sum,
     cone_union,
+    union_avoids_subspace,
     union_dim,
     union_is_tame,
     union_meets_subspace,
@@ -296,7 +297,7 @@ def _avoiding_directions(sigma: ConeUnion) -> Iterator[Vector]:
         else:
             continue
         for v in candidates:
-            if union_meets_subspace(sigma, Subspace.span([v])) is None:
+            if union_avoids_subspace(sigma, Subspace.span([v])):
                 yield v
 
 

@@ -1,12 +1,15 @@
 """Points of the Grassmannian of subgroup annihilators.
 
 A subgroup of rank k in a product of total dual dimension N corresponds to
-the (N-k)-dimensional subspace of functionals vanishing on it.  Points are
-stored as canonical RREF subspaces together with k.  Charts follow the
-[I | A] row-echelon parametrisation of the complements of a fixed subspace.
-A point is a virtual subdirect product iff S meets each factor block [a, b)
-only in 0, iff S's basis restricted to the columns outside [a, b) has full
-row rank; no block subspace is built.
+the (N-k)-dimensional subspace of functionals vanishing on it.  A point is
+a `Subspace` together with k; it compares, hashes and prints through its
+canonical RREF basis.  A sampled point is kept on its integer grid draw:
+its independence and every rank question asked of it are decided on the
+draw's residues mod P, and its RREF basis is built only when read.  Charts
+follow the [I | A] row-echelon parametrisation of the complements of a
+fixed subspace.  A point is a virtual subdirect product iff S meets each
+factor block [a, b) only in 0, iff any basis of S restricted to the columns
+outside [a, b) has full row rank; no block subspace is built.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, full_row_rank, vec_add, vec_scale
+from .linalg import Matrix, Subspace, avoids_block, full_row_rank, vec_add, vec_scale
 from .product import ProductSpace
 from .randstream import CounterStream
 
@@ -83,11 +86,11 @@ def chart_to_point(c: Chart) -> SubspacePoint:
     return subspace_point(Subspace.span(rows, ambient_dim=n), k)
 
 
-def rows_avoid_blocks(rows: Matrix, p: ProductSpace, residues=None) -> bool:
+def rows_avoid_blocks(rows: Matrix, p: ProductSpace) -> bool:
     """True iff the rows are independent and span a subspace meeting every
-    block only in 0; `residues`, if given, are the rows' residues mod P."""
+    block only in 0."""
     n = p.total_dim
-    return all(full_row_rank(rows, residues, [*range(a), *range(b, n)]) for a, b in p.blocks)
+    return all(full_row_rank(rows, [*range(a), *range(b, n)]) for a, b in p.blocks)
 
 
 def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
@@ -96,17 +99,24 @@ def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
         raise ValueError("ambient dimension mismatch")
     if pt.k < p.max_rank:
         raise ValueError(f"k={pt.k} below the maximal factor rank {p.max_rank}")
-    return rows_avoid_blocks(pt.subspace.basis, p, pt.subspace._residues)
+    return all(avoids_block(pt.subspace, a, b) for a, b in p.blocks)
+
+
+def _draw(n_rows: int, n_cols: int, seed: int, index: int, attempt: int) -> list[list[int]]:
+    """The grid draw's integer numerators a, uniform in [-2**20, 2**20] and
+    keyed on (seed, index, attempt); the entries are a / 2**16."""
+    stream = CounterStream(seed, index, attempt)
+    return [
+        [stream.uniform_int(-_NUM_BOUND, _NUM_BOUND) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
 
 
 def sample_rows(n_rows: int, n_cols: int, seed: int, index: int, attempt: int = 0):
-    """The raw grid draw behind sample_point: rows of entries a / 2**16 with
-    a uniform in [-2**20, 2**20], keyed on (seed, index, attempt)."""
-    stream = CounterStream(seed, index, attempt)
-    return [
-        [Fraction(stream.uniform_int(-_NUM_BOUND, _NUM_BOUND), _DENOM) for _ in range(n_cols)]
-        for _ in range(n_rows)
-    ]
+    """The grid draw behind sample_point as `Fraction` rows: entries a / 2**16
+    with a uniform in [-2**20, 2**20], keyed on (seed, index, attempt)."""
+    draw = _draw(n_rows, n_cols, seed, index, attempt)
+    return [[Fraction(a, _DENOM) for a in row] for row in draw]
 
 
 def sample_point(p: ProductSpace, k: int, seed: int, index: int) -> SubspacePoint:
@@ -115,13 +125,16 @@ def sample_point(p: ProductSpace, k: int, seed: int, index: int) -> SubspacePoin
     Draws an (N-k) x N matrix on the sampling grid and redraws (bumping the
     attempt substream) until it has full row rank; in practice the first draw
     succeeds, and 64 rank-deficient draws in a row abort as a sampler defect.
+    The point is kept on the integer numerators of its draw, whose row space
+    is that of the grid entries: full rank is decided mod P, and only a draw
+    dependent mod P is reduced exactly.
     """
     n = p.total_dim
     if not p.max_rank <= k <= n:
         raise ValueError(f"k must satisfy {p.max_rank} <= k <= {n}, got {k}")
     l = n - k
     for attempt in range(_MAX_ATTEMPTS):
-        space = Subspace.span(sample_rows(l, n, seed, index, attempt), ambient_dim=n)
+        space = Subspace.of_integer_rows(n, _draw(l, n, seed, index, attempt), _DENOM)
         if space.dim == l:
             return SubspacePoint(space, k)
     raise RuntimeError("internal error: degenerate sampler")

@@ -1,9 +1,10 @@
 """Exact rational linear algebra: vectors, matrices, RREF, kernels, subspaces.
 
 Every coordinate is a `fractions.Fraction`, so ranks, kernels, and equality
-tests are exact.  A subspace is always stored through its reduced row-echelon
-basis, which makes the representation canonical: two subspaces are equal iff
-their stored bases are entry-wise equal.
+tests are exact.  A subspace is kept on the independent rows it was built
+from.  Its reduced row-echelon basis is canonical (two subspaces are equal
+iff those bases are entry-wise equal) and is computed only when read; rank
+questions are answered on the kept rows, whatever basis they form.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
 package: it is the inner step of `_eliminate`, the kernel behind `rref`,
@@ -20,21 +21,23 @@ number of `Fraction`s built.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
 meet only in 0?", is decided modulo the prime P = 2**61 - 1 first.  Each row
-is scaled by the lcm of its denominators to an integer row and reduced mod
-P; if those residue rows are independent over F_P, some maximal minor of
-the integer rows is nonzero mod P, hence a nonzero integer, so the rows are
+is scaled to an integer row, by the lcm of its denominators or, for rows
+built from integers, by their denominator, and reduced mod P; if those
+residue rows are independent over F_P, some maximal minor of the integer
+rows is nonzero mod P, hence a nonzero integer, so the rows are
 independent over Q.  Only a rank deficient mod P falls back to the exact
 `rank`.  A verdict therefore never depends on P, only the time taken to
-reach it.  A `Subspace` keeps its residue rows once computed.
+reach it.  A `Subspace` keeps the residue rows of its kept rows once
+computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -197,10 +200,10 @@ def rank(m: Matrix) -> int:
     return rref(m)[0].rows
 
 
-def _residue_rows(m: Matrix) -> tuple[tuple[int, ...], ...]:
+def _residue_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
     """Each row scaled by the lcm of its denominators, then reduced mod P."""
     out = []
-    for row in m.entries:
+    for row in rows:
         d = lcm(*(a.denominator for a in row))
         out.append(tuple(a.numerator * (d // a.denominator) % P for a in row))
     return tuple(out)
@@ -227,28 +230,34 @@ def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def full_row_rank(
-    m: Matrix,
-    residues: Sequence[Sequence[int]] | None = None,
+def _independent(
+    residues: Sequence[Sequence[int]],
+    exact_rows: Callable[[], Sequence[Vector]],
     columns: Sequence[int] | None = None,
 ) -> bool:
-    """True iff m's rows, restricted to `columns` (all by default), are
+    """True iff some rows, restricted to `columns` (all by default), are
     linearly independent over Q.
 
-    Independence mod P settles it; only a rank deficient mod P is re-decided
-    by the exact `rank` of the `Fraction` submatrix, built only then.
-    `residues`, when given, must be `_residue_rows(m)`; restricted, they are
-    residues of integer multiples of the restricted rows.
+    `residues` are the rows' residues mod P, each row first scaled by a
+    nonzero rational to an integer row.  Independence mod P settles it; only
+    a rank deficient mod P is re-decided by the exact `rank`, on the
+    `Fraction` rows that `exact_rows()` returns, asked for only then.
     """
-    if residues is None:
-        residues = _residue_rows(m)
     if columns is not None:
         residues = [[row[c] for c in columns] for row in residues]
     if _independent_mod_p(residues):
         return True
+    rows = tuple(exact_rows())
+    m = Matrix(len(rows), len(rows[0]), rows)
     if columns is not None:
         m = submatrix_columns(m, columns)
     return rank(m) == m.rows
+
+
+def full_row_rank(m: Matrix, columns: Sequence[int] | None = None) -> bool:
+    """True iff m's rows, restricted to `columns` (all by default), are
+    linearly independent over Q; decided mod P first."""
+    return _independent(_residue_rows(m.entries), lambda: m.entries, columns)
 
 
 def det(m: Matrix) -> Fraction:
@@ -292,17 +301,35 @@ def submatrix_columns(m: Matrix, columns: Sequence[int]) -> Matrix:
     return Matrix(m.rows, len(columns), data)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A rational subspace stored by its canonical RREF basis.
+    """A rational subspace, kept on the linearly independent rows it was
+    built from.
 
-    The zero subspace keeps an explicit ambient dimension and an empty basis,
+    `basis` and `pivot_columns` are the canonical reduced row-echelon form,
+    computed from the kept rows the first time either is read.  Equality,
+    hash, repr and pickles go through that form, so two subspaces are equal
+    iff their RREF bases are entry-wise equal, whatever rows built them.
+
+    `Subspace(ambient_dim, basis, pivot_columns)` and `span` keep the RREF
+    basis itself.  `of_integer_rows` keeps integer numerators over one
+    denominator with their residues mod P, and builds their `Fraction`s only
+    if an exact fallback or the canonical form reads them.
+
+    The zero subspace keeps an explicit ambient dimension and no rows,
     avoiding 0xN matrix ambiguity.
     """
 
     ambient_dim: int
-    basis: Matrix
-    pivot_columns: tuple[int, ...]
+    dim: int
+
+    def __init__(self, ambient_dim: int, basis: Matrix, pivot_columns: tuple[int, ...]):
+        """The subspace whose RREF basis and pivot columns these are (not checked)."""
+        vars(self).update(
+            ambient_dim=ambient_dim,
+            dim=basis.rows,
+            _rows=basis.entries,
+            _rref=(basis, pivot_columns),
+        )
 
     @staticmethod
     def span(vectors: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
@@ -320,6 +347,33 @@ class Subspace:
         return Subspace(ambient_dim, reduced, pivots)
 
     @staticmethod
+    def of_integer_rows(
+        ambient_dim: int, numerators: Sequence[Sequence[int]], denominator: int = 1
+    ) -> "Subspace":
+        """The span of the rows numerators / denominator (denominator > 0).
+
+        Rows independent mod P are independent over Q and are kept as they
+        are, with no `Fraction` built.  Rows dependent mod P are reduced
+        exactly at once, and the subspace keeps their RREF basis.
+        """
+        numerators = tuple(tuple(row) for row in numerators)
+        if any(len(row) != ambient_dim for row in numerators):
+            raise ValueError("ambient dimension mismatch")
+        residues = tuple(tuple(a % P for a in row) for row in numerators)
+        if not _independent_mod_p(residues):
+            rows = _fraction_rows(numerators, denominator)
+            return Subspace(ambient_dim, *rref(Matrix(len(rows), ambient_dim, rows)))
+        s = object.__new__(Subspace)
+        vars(s).update(
+            ambient_dim=ambient_dim,
+            dim=len(numerators),
+            _numerators=numerators,
+            _denominator=denominator,
+            _residues=residues,
+        )
+        return s
+
+    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix(0, ambient_dim, ()), ())
 
@@ -327,14 +381,54 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
 
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
+    @cached_property
+    def _rows(self) -> tuple[Vector, ...]:
+        # Reached only by instances of `of_integer_rows`; the others are
+        # built with their rows.
+        return _fraction_rows(self._numerators, self._denominator)
 
     @cached_property
     def _residues(self) -> tuple[tuple[int, ...], ...]:
-        # Kept in the instance dict, not a field: equality, hash and repr ignore it.
-        return _residue_rows(self.basis)
+        return _residue_rows(self._rows)
+
+    @cached_property
+    def _rref(self) -> tuple[Matrix, tuple[int, ...]]:
+        return rref(Matrix(self.dim, self.ambient_dim, self._rows))
+
+    @property
+    def basis(self) -> Matrix:
+        return self._rref[0]
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        return self._rref[1]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Subspace:
+            return NotImplemented
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.dim == other.dim
+            and self._rref == other._rref
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis, self.pivot_columns))
+
+    def __repr__(self) -> str:
+        return (
+            f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r}, "
+            f"pivot_columns={self.pivot_columns!r})"
+        )
+
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.basis, self.pivot_columns)
 
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
@@ -347,33 +441,48 @@ class Subspace:
         return all(a == 0 for a in residue)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} as a Subspace; dim = cols - rank."""
-    reduced, pivots = rref(m)
+def _fraction_rows(numerators: Sequence[Sequence[int]], denominator: int) -> tuple[Vector, ...]:
+    return tuple(tuple(Fraction(a, denominator) for a in row) for row in numerators)
+
+
+def _kernel_vectors(reduced: Matrix, pivots: Sequence[int]) -> list[list[Fraction]]:
+    """A basis of {x : reduced x = 0}, one vector per free column, from an RREF."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(reduced.cols) if c not in pivot_set]
     vectors = []
     for c in free_cols:
-        v = [ZERO] * m.cols
+        v = [ZERO] * reduced.cols
         v[c] = ONE
         for r, p in enumerate(pivots):
             v[p] = -reduced.entries[r][c]
         vectors.append(v)
-    return Subspace.span(vectors, ambient_dim=m.cols)
+    return vectors
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Right kernel {x : m x = 0} as a Subspace; dim = cols - rank."""
+    return Subspace.span(_kernel_vectors(*rref(m)), ambient_dim=m.cols)
 
 
 def constraint_rows(s: Subspace) -> Matrix:
-    """A matrix K with null(K) = s: the linear equations cutting out s."""
-    return kernel_basis(s.basis).basis if s.dim else Matrix.identity(s.ambient_dim)
+    """A matrix K with null(K) = s: the linear equations cutting out s.
+
+    K is the RREF basis of the kernel of s's RREF basis; that basis is
+    already reduced, so its kernel is read off it directly.
+    """
+    if not s.dim:
+        return Matrix.identity(s.ambient_dim)
+    vectors = _kernel_vectors(s.basis, s.pivot_columns)
+    return Subspace.span(vectors, ambient_dim=s.ambient_dim).basis
 
 
 def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
     """True iff u and v meet only in 0, i.e. their sum is direct.
 
     Three exits: dim u + dim v > N means they meet, by the dimension count;
-    the stacked basis rows independent mod P (from the residues each
+    the stacked kept rows independent mod P (from the residues each
     subspace keeps) means they do not; otherwise the exact `rank` of the
-    stacked bases decides.  Independence mod P implies independence over Q,
+    stacked rows decides.  Independence mod P implies independence over Q,
     so the answer never depends on P.
     """
     if u.ambient_dim != v.ambient_dim:
@@ -382,4 +491,13 @@ def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
         return True
     if u.dim + v.dim > u.ambient_dim:
         return False
-    return full_row_rank(u.basis.stack(v.basis), u._residues + v._residues)
+    return _independent(u._residues + v._residues, lambda: u._rows + v._rows)
+
+
+def avoids_block(s: Subspace, start: int, stop: int) -> bool:
+    """True iff s meets the coordinate block spanned by e_start, ...,
+    e_(stop-1) only in 0, i.e. s's kept rows, restricted to the columns
+    outside [start, stop), are independent.  Any basis of s answers alike,
+    so no canonical basis is needed."""
+    outside = [*range(start), *range(stop, s.ambient_dim)]
+    return _independent(s._residues, lambda: s._rows, outside)

@@ -1,6 +1,6 @@
 import pytest
 
-from sigmafp import lp
+from sigmafp import linalg, lp
 
 
 @pytest.fixture()
@@ -29,3 +29,31 @@ def simplex_pivots(monkeypatch):
 
     monkeypatch.setattr(lp, "pivot", counting_pivot)
     return count
+
+
+@pytest.fixture()
+def exact_ranks(monkeypatch):
+    """Matrices handed to the exact fallback `linalg.rank`, in call order."""
+    seen = []
+    real_rank = linalg.rank
+
+    def counting_rank(m):
+        seen.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    return seen
+
+
+@pytest.fixture()
+def exact_rrefs(monkeypatch):
+    """Matrices handed to `linalg.rref`, in call order."""
+    seen = []
+    real_rref = linalg.rref
+
+    def counting_rref(m):
+        seen.append(m)
+        return real_rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    return seen

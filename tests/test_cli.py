@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sigmafp import cli
+from sigmafp import cli, cones
 from sigmafp.cli import main
 from sigmafp.formats import fixture_text
 
@@ -155,6 +155,24 @@ def test_construct_rho_decides_each_factor_tame_once_on_f1(f1, capsys, solved_lp
     # sign scan's line LP for rho = -1, which is also its post-check; one
     # slice LP for the point's check-fp
     assert len(solved_lps) == 4
+
+
+def test_construct_rho_names_no_witness_on_f4(tmp_path, capsys, monkeypatch):
+    # The gap scan rejects a candidate direction on the verdict alone: the
+    # scan stops at the maximal pieces and names no witness ray.
+    scans = []
+    real_witness = cones._Scan.witness
+
+    def counting_witness(self, piece):
+        scans.append(piece[0])
+        return real_witness(self, piece)
+
+    monkeypatch.setattr(cones._Scan, "witness", counting_witness)
+    path = tmp_path / "f4.json"
+    path.write_text(fixture_text("f4"))
+    code, out, _ = run(capsys, ["construct-rho", str(path)])
+    assert code == 0 and "gap-scan" in out
+    assert scans == []
 
 
 def test_nonfp_commands(f1, capsys):

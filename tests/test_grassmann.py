@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_oracle
-from sigmafp import linalg
+from sigmafp import cones, grassmann, linalg
 from sigmafp.cones import cone, cone_union
+from sigmafp.decisions import run_measure_experiment
 from sigmafp.formats import load_fixture
 from sigmafp.grassmann import (
+    SubspacePoint,
     chart,
     chart_to_point,
     is_virtual_subdirect,
@@ -219,3 +222,94 @@ def test_sample_coordinate_means_near_zero():
         totals[0] += float(row[0]) / 16.0
         totals[1] += float(row[1]) / 16.0
     assert all(abs(t / n) < 0.05 for t in totals)
+
+
+@st.composite
+def sampling_cases(draw):
+    """A product of 1-4 factors of rank 1-3, a k in its range, a seed and an index."""
+    ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    p = product_space([factor_spec(f"f{i}", r, cone_union([], ambient_dim=r)) for i, r in enumerate(ranks)])
+    k = draw(st.integers(p.max_rank, p.total_dim))
+    return p, k, draw(st.integers(0, (1 << 64) - 1)), draw(st.integers(0, 10**6))
+
+
+@given(sampling_cases())
+@settings(max_examples=120, deadline=None)
+def test_sampled_point_is_the_span_of_its_draw(case):
+    p, k, seed, index = case
+    n = p.total_dim
+    pt = sample_point(p, k, seed, index)
+    assert "_rref" not in vars(pt.subspace)  # kept on its draw until read
+    span = Subspace.span(sample_rows(n - k, n, seed, index), ambient_dim=n)
+    assert pt == SubspacePoint(span, k)
+    assert hash(pt.subspace) == hash(span)
+    assert repr(pt.subspace) == repr(span)
+    assert pickle.dumps(pt.subspace) == pickle.dumps(span)
+    assert pt.subspace.basis == span.basis
+    assert pt.subspace.pivot_columns == span.pivot_columns
+    assert pt.subspace.dim == span.dim == n - k
+
+
+def three_line_factors():
+    return product_space([ray_factor(name, 1, (1,)) for name in "abc"])
+
+
+def patched_draws(monkeypatch, draws):
+    """Make attempt i of the grid draw return draws[i], and later attempts
+    the real draw; returns the list of attempts made."""
+    attempts = []
+    real_draw = grassmann._draw
+
+    def draw(n_rows, n_cols, seed, index, attempt):
+        attempts.append(attempt)
+        if attempt < len(draws):
+            return draws[attempt]
+        return real_draw(n_rows, n_cols, seed, index, attempt)
+
+    monkeypatch.setattr(grassmann, "_draw", draw)
+    return attempts
+
+
+def test_draw_dependent_only_mod_p_takes_the_exact_path(monkeypatch, exact_rrefs):
+    # (1, 0, 0) and (0, P, 0) are (1, 0, 0) and 0 mod P but independent over
+    # Q: the point is reduced exactly, keeps its dimension and is not redrawn.
+    p = three_line_factors()
+    attempts = patched_draws(monkeypatch, [[[1, 0, 0], [0, P, 0]]])
+    pt = sample_point(p, 1, seed=5, index=0)
+    assert attempts == [0]
+    assert len(exact_rrefs) == 1
+    assert pt.subspace.dim == 2
+    assert pt.subspace == Subspace.span([[1, 0, 0], [0, 1, 0]])
+    assert not is_virtual_subdirect(pt, p)  # it holds e_1, the first block
+
+
+def test_restriction_dependent_only_mod_p_takes_the_exact_rank(monkeypatch, exact_ranks):
+    # Independent mod P, so kept on the draw; off the first block the rows
+    # read (0, 1), (P, 1), off the third (1, 0), (0, P): both are dependent
+    # mod P, independent over Q.
+    p = three_line_factors()
+    patched_draws(monkeypatch, [[[1, 0, 1], [0, P, 1]]])
+    pt = sample_point(p, 1, seed=5, index=0)
+    assert "_rref" not in vars(pt.subspace)
+    assert is_virtual_subdirect(pt, p)
+    assert avoids_blocks_oracle(p, [[1, 0, 1], [0, P, 1]])
+    assert [m.entries for m in exact_ranks] == [
+        ((0, F(1, 1 << 16)), (F(P, 1 << 16), F(1, 1 << 16))),
+        ((F(1, 1 << 16), 0), (0, F(P, 1 << 16))),
+    ]
+    assert "_rref" not in vars(pt.subspace)  # the fallback needs no basis
+
+
+def test_rank_deficient_draw_is_redrawn_on_the_next_attempt(monkeypatch):
+    p = three_line_factors()
+    attempts = patched_draws(monkeypatch, [[[1, 2, 3], [2, 4, 6]], [[0, 0, 0], [1, 1, 1]]])
+    pt = sample_point(p, 1, seed=8, index=4)
+    assert attempts == [0, 1, 2]
+    assert pt == SubspacePoint(Subspace.span(sample_rows(2, 3, seed=8, index=4, attempt=2)), 1)
+
+
+def test_measure_on_f2_builds_no_rref(exact_rrefs):
+    cones._cone_span.cache_clear()  # Γ's piece spans are built afresh too
+    report = run_measure_experiment(load_fixture("f2"), k=4, samples=50, seed=42)
+    assert report.samples == 50 and report.vsp_failures == 0
+    assert exact_rrefs == []

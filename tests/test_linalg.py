@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_oracle
-from sigmafp import linalg
 from sigmafp.decisions import run_measure_experiment
 from sigmafp.formats import load_fixture
 from sigmafp.linalg import (
@@ -227,20 +226,6 @@ def test_intersect_trivially_matches_fraction_rank_oracle(pair):
     assert subspaces_intersect_trivially(v, u) == expected
 
 
-@pytest.fixture()
-def exact_ranks(monkeypatch):
-    """Matrices handed to the exact fallback `linalg.rank`, in call order."""
-    seen = []
-    real_rank = linalg.rank
-
-    def counting_rank(m):
-        seen.append(m)
-        return real_rank(m)
-
-    monkeypatch.setattr(linalg, "rank", counting_rank)
-    return seen
-
-
 P = (1 << 61) - 1
 
 
@@ -289,6 +274,16 @@ def test_cached_residues_are_invisible():
         assert hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
     assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
+    # a subspace kept on integer rows builds its basis only when read, and
+    # is then indistinguishable from the span of the same rows
+    lazy = Subspace.of_integer_rows(3, [[105, 5, 0], [35, 35, -14]], 35)
+    assert subspaces_intersect_trivially(lazy, Subspace.span([[0, 0, 1]])) and lazy.dim == 2
+    assert "_residues" in vars(lazy) and "_rows" not in vars(lazy) and "_rref" not in vars(lazy)
+    assert lazy.basis == fresh.basis and lazy.pivot_columns == fresh.pivot_columns
+    assert "_rref" in vars(lazy)
+    assert lazy == fresh and hash(lazy) == hash(fresh) and repr(lazy) == repr(fresh)
+    assert pickle.dumps(lazy) == pickle.dumps(Subspace.span(rows))
+    assert pickle.loads(pickle.dumps(lazy)) == fresh
     # workers inherit block and piece spans whose residues the serial run kept
     p = load_fixture("f2")
     serial = run_measure_experiment(p, k=4, samples=40, seed=3)
@@ -358,3 +353,17 @@ def test_vector_keeps_fraction_entries():
     assert v == (half, Fraction(2), Fraction(3, 4))
     assert v[0] is half
     assert all(type(a) is Fraction for a in v)
+
+
+def test_integer_rows_dependent_mod_p_are_reduced_exactly(exact_ranks):
+    # (1, 0) and (0, P) are (1, 0) and 0 mod P, independent over Q
+    s = Subspace.of_integer_rows(2, [[1, 0], [0, P]], 3)
+    assert s.dim == 2 and s == Subspace.full(2)
+    line = Subspace.of_integer_rows(2, [[1, 2], [2, 4]])
+    assert line.dim == 1 and line == Subspace.span([[1, 2]])
+    assert not subspaces_intersect_trivially(line, Subspace.of_integer_rows(2, [[-3, -6]], 7))
+    # both constructions reduce with rref, not rank; only the stacked rows
+    # (1, 2), (-3/7, -6/7), dependent mod P as over Q, reach the exact rank
+    assert [m.entries for m in exact_ranks] == [((1, 2), (Fraction(-3, 7), Fraction(-6, 7)))]
+    with pytest.raises(ValueError):
+        Subspace.of_integer_rows(3, [[1, 0]])

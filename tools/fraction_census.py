@@ -4,6 +4,7 @@ Run from anywhere:
 
     python3 tools/fraction_census.py OLD_CHECKOUT NEW_CHECKOUT
     python3 tools/fraction_census.py --fixtures-only . .
+    python3 tools/fraction_census.py --measure-only . .
 
 The calls are those of ``tools/identity_sweep.py`` (the cli-mix calls of
 seeds 1 and 2, then ``measure --seed 42`` on the five ROADMAP rows).  Each
@@ -13,8 +14,9 @@ through it) while it runs ``sigmafp.cli.main`` in-process on each call.
 The counts are summed per group: ``check-fp --certify`` calls, the other
 CLI calls, and each measure row.  Unlike timings they do not depend on the
 machine or its load, so a change that only removes arithmetic shows as an
-exact ratio.  Prints one line per group and exits 0, or exits 2 if a
-worker fails.
+exact ratio.  ``--fixtures-only`` keeps only the CLI calls on the shipped
+fixtures; ``--measure-only`` keeps only the measure rows.  Prints one line
+per group and exits 0, or exits 2 if a worker fails.
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="checkout counted first")
     parser.add_argument("new", type=Path, help="checkout compared with it")
-    parser.add_argument("--fixtures-only", action="store_true",
-                        help="keep only the cli-mix calls on the shipped fixtures f1-f4")
+    calls_kept = parser.add_mutually_exclusive_group()
+    calls_kept.add_argument("--fixtures-only", action="store_true",
+                            help="keep only the cli-mix calls on the shipped fixtures f1-f4")
+    calls_kept.add_argument("--measure-only", action="store_true",
+                            help="keep only the five measure rows, no CLI call")
     args = parser.parse_args(argv)
     srcs = [tree.resolve() / "src" for tree in (args.old, args.new)]
     for tree, src in zip((args.old, args.new), srcs):
@@ -88,6 +93,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         calls = call_lists(tmp, args.fixtures_only)
+        if args.measure_only:
+            calls = [argv for argv in calls if argv[0] == "measure"]
         calls_file = tmp / "calls.json"
         calls_file.write_text(json.dumps(calls))
         procs = [count_tree(src, calls_file) for src in srcs]
