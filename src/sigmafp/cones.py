@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     Vector,
     constraint_rows,
+    integer_rows,
     is_zero_vector,
     subspaces_intersect_trivially,
     vec_neg,
@@ -157,10 +158,9 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
 # at 1024.
 @lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
-    # Canonical rays have integer coordinates, so the span is kept on its
-    # generators whenever they are independent.
-    numerators = [[a.numerator for a in g] for g in c.generators]
-    return Subspace.of_integer_rows(c.ambient_dim, numerators)
+    # The span is kept on the generators, scaled to integer rows (canonical
+    # rays already are), whenever they are independent.
+    return Subspace.of_integer_rows(c.ambient_dim, integer_rows(c.generators))
 
 
 def cone_contains(c: ConvexCone, x) -> bool:

@@ -17,7 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, avoids_block, full_row_rank, vec_add, vec_scale
+from .linalg import (
+    Matrix,
+    Subspace,
+    avoids_block,
+    full_row_rank,
+    integer_rows,
+    vec_add,
+    vec_scale,
+)
 from .product import ProductSpace
 from .randstream import CounterStream
 
@@ -86,11 +94,15 @@ def chart_to_point(c: Chart) -> SubspacePoint:
     return subspace_point(Subspace.span(rows, ambient_dim=n), k)
 
 
+def _avoids_blocks(s: Subspace, p: ProductSpace) -> bool:
+    return all(avoids_block(s, a, b) for a, b in p.blocks)
+
+
 def rows_avoid_blocks(rows: Matrix, p: ProductSpace) -> bool:
     """True iff the rows are independent and span a subspace meeting every
     block only in 0."""
-    n = p.total_dim
-    return all(full_row_rank(rows, [*range(a), *range(b, n)]) for a, b in p.blocks)
+    s = Subspace.of_integer_rows(rows.cols, integer_rows(rows.entries))
+    return s.dim == rows.rows and _avoids_blocks(s, p)
 
 
 def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
@@ -99,7 +111,7 @@ def is_virtual_subdirect(pt: SubspacePoint, p: ProductSpace) -> bool:
         raise ValueError("ambient dimension mismatch")
     if pt.k < p.max_rank:
         raise ValueError(f"k={pt.k} below the maximal factor rank {p.max_rank}")
-    return all(avoids_block(pt.subspace, a, b) for a, b in p.blocks)
+    return _avoids_blocks(pt.subspace, p)
 
 
 def _draw(n_rows: int, n_cols: int, seed: int, index: int, attempt: int) -> list[list[int]]:
@@ -126,15 +138,15 @@ def sample_point(p: ProductSpace, k: int, seed: int, index: int) -> SubspacePoin
     attempt substream) until it has full row rank; in practice the first draw
     succeeds, and 64 rank-deficient draws in a row abort as a sampler defect.
     The point is kept on the integer numerators of its draw, whose row space
-    is that of the grid entries: full rank is decided mod P, and only a draw
-    dependent mod P is reduced exactly.
+    is that of the grid entries a / 2**16: full rank is decided mod P, and
+    only a draw dependent mod P is reduced exactly.
     """
     n = p.total_dim
     if not p.max_rank <= k <= n:
         raise ValueError(f"k must satisfy {p.max_rank} <= k <= {n}, got {k}")
     l = n - k
     for attempt in range(_MAX_ATTEMPTS):
-        space = Subspace.of_integer_rows(n, _draw(l, n, seed, index, attempt), _DENOM)
+        space = Subspace.of_integer_rows(n, _draw(l, n, seed, index, attempt))
         if space.dim == l:
             return SubspacePoint(space, k)
     raise RuntimeError("internal error: degenerate sampler")

@@ -21,11 +21,10 @@ number of `Fraction`s built.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
 meet only in 0?", is decided modulo the prime P = 2**61 - 1 first.  Each row
-is scaled to an integer row, by the lcm of its denominators or, for rows
-built from integers, by their denominator, and reduced mod P; if those
-residue rows are independent over F_P, some maximal minor of the integer
-rows is nonzero mod P, hence a nonzero integer, so the rows are
-independent over Q.  Only a rank deficient mod P falls back to the exact
+is scaled by the lcm of its denominators to an integer row and reduced
+mod P; if those residue rows are independent over F_P, some maximal minor
+of the integer rows is nonzero mod P, hence a nonzero integer, so the rows
+are independent over Q.  Only a rank deficient mod P falls back to the exact
 `rank`.  A verdict therefore never depends on P, only the time taken to
 reach it.  A `Subspace` keeps the residue rows of its kept rows once
 computed.
@@ -200,13 +199,19 @@ def rank(m: Matrix) -> int:
     return rref(m)[0].rows
 
 
-def _residue_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Each row scaled by the lcm of its denominators, then reduced mod P."""
+def integer_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """Each row scaled by the lcm of its denominators: integer rows with the
+    same row space."""
     out = []
     for row in rows:
         d = lcm(*(a.denominator for a in row))
-        out.append(tuple(a.numerator * (d // a.denominator) % P for a in row))
+        out.append(tuple(a.numerator * (d // a.denominator) for a in row))
     return tuple(out)
+
+
+def _residue_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """Each row scaled to an integer row, then reduced mod P."""
+    return tuple(tuple(a % P for a in row) for row in integer_rows(rows))
 
 
 def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
@@ -254,10 +259,9 @@ def _independent(
     return rank(m) == m.rows
 
 
-def full_row_rank(m: Matrix, columns: Sequence[int] | None = None) -> bool:
-    """True iff m's rows, restricted to `columns` (all by default), are
-    linearly independent over Q; decided mod P first."""
-    return _independent(_residue_rows(m.entries), lambda: m.entries, columns)
+def full_row_rank(m: Matrix) -> bool:
+    """True iff m's rows are linearly independent over Q; decided mod P first."""
+    return _independent(_residue_rows(m.entries), lambda: m.entries)
 
 
 def det(m: Matrix) -> Fraction:
@@ -311,9 +315,9 @@ class Subspace:
     iff their RREF bases are entry-wise equal, whatever rows built them.
 
     `Subspace(ambient_dim, basis, pivot_columns)` and `span` keep the RREF
-    basis itself.  `of_integer_rows` keeps integer numerators over one
-    denominator with their residues mod P, and builds their `Fraction`s only
-    if an exact fallback or the canonical form reads them.
+    basis itself.  `of_integer_rows` keeps integer rows with their residues
+    mod P, and builds their `Fraction`s only if an exact fallback or the
+    canonical form reads them.
 
     The zero subspace keeps an explicit ambient dimension and no rows,
     avoiding 0xN matrix ambiguity.
@@ -347,29 +351,23 @@ class Subspace:
         return Subspace(ambient_dim, reduced, pivots)
 
     @staticmethod
-    def of_integer_rows(
-        ambient_dim: int, numerators: Sequence[Sequence[int]], denominator: int = 1
-    ) -> "Subspace":
-        """The span of the rows numerators / denominator (denominator > 0).
+    def of_integer_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The span of integer rows.
 
         Rows independent mod P are independent over Q and are kept as they
         are, with no `Fraction` built.  Rows dependent mod P are reduced
         exactly at once, and the subspace keeps their RREF basis.
         """
-        numerators = tuple(tuple(row) for row in numerators)
-        if any(len(row) != ambient_dim for row in numerators):
+        integers = tuple(tuple(row) for row in rows)
+        if any(len(row) != ambient_dim for row in integers):
             raise ValueError("ambient dimension mismatch")
-        residues = tuple(tuple(a % P for a in row) for row in numerators)
+        residues = tuple(tuple(a % P for a in row) for row in integers)
         if not _independent_mod_p(residues):
-            rows = _fraction_rows(numerators, denominator)
-            return Subspace(ambient_dim, *rref(Matrix(len(rows), ambient_dim, rows)))
+            exact = _fraction_rows(integers)
+            return Subspace(ambient_dim, *rref(Matrix(len(exact), ambient_dim, exact)))
         s = object.__new__(Subspace)
         vars(s).update(
-            ambient_dim=ambient_dim,
-            dim=len(numerators),
-            _numerators=numerators,
-            _denominator=denominator,
-            _residues=residues,
+            ambient_dim=ambient_dim, dim=len(integers), _integers=integers, _residues=residues
         )
         return s
 
@@ -385,7 +383,7 @@ class Subspace:
     def _rows(self) -> tuple[Vector, ...]:
         # Reached only by instances of `of_integer_rows`; the others are
         # built with their rows.
-        return _fraction_rows(self._numerators, self._denominator)
+        return _fraction_rows(self._integers)
 
     @cached_property
     def _residues(self) -> tuple[tuple[int, ...], ...]:
@@ -441,8 +439,8 @@ class Subspace:
         return all(a == 0 for a in residue)
 
 
-def _fraction_rows(numerators: Sequence[Sequence[int]], denominator: int) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(a, denominator) for a in row) for row in numerators)
+def _fraction_rows(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    return tuple(tuple(Fraction(a) for a in row) for row in rows)
 
 
 def _kernel_vectors(reduced: Matrix, pivots: Sequence[int]) -> list[list[Fraction]]:

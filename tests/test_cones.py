@@ -68,6 +68,18 @@ def test_cone_dim():
     assert cone_dim(cone([], ambient_dim=2)) == 0
 
 
+def test_raw_cone_with_fractional_generators_spans_them():
+    # A ConvexCone built directly keeps its generators as given; its span,
+    # which the prefilter reads, must be that of those rays.
+    half = cones.ConvexCone(2, ((Fraction(1, 2), Fraction(1, 3)),))
+    assert cones._cone_span(half) == Subspace.span([(3, 2)])
+    line = cones.ConvexCone(2, ((Fraction(3), Fraction(2)), (Fraction(-3, 7), Fraction(-2, 7))))
+    assert cone_dim(line) == 1
+    w = cone([(3, 2)])
+    assert cones_meet_nontrivially(half, w) is not None
+    assert union_meets_subspace(cone_union([half]), Subspace.span([(3, 2)])) is not None
+
+
 def test_cone_contains_line():
     assert cone_contains_line(cone([(1, 0), (-1, 0)]))
     assert not cone_contains_line(cone([(1, 0), (0, 1)]))

@@ -160,6 +160,13 @@ def test_vsp_test_matches_stacked_rank_oracle(case):
     basis = [list(r) for r in space.basis.entries]
     pt = subspace_point(space, n - space.dim)
     assert is_virtual_subdirect(pt, p) == avoids_blocks_oracle(p, basis)
+    # The same rows scaled to integers: kept as they are unless dependent
+    # mod P, so the vsp test runs on them, with the exact fallback wherever
+    # P divides a minor.
+    kept = Subspace.of_integer_rows(n, linalg.integer_rows(tuple(map(linalg.vector, rows))))
+    pt = subspace_point(kept, n - kept.dim)
+    assert is_virtual_subdirect(pt, p) == avoids_blocks_oracle(p, basis)
+    assert kept == space
 
 
 def test_vsp_point_deficient_mod_p_falls_back_once(monkeypatch):
@@ -294,8 +301,8 @@ def test_restriction_dependent_only_mod_p_takes_the_exact_rank(monkeypatch, exac
     assert is_virtual_subdirect(pt, p)
     assert avoids_blocks_oracle(p, [[1, 0, 1], [0, P, 1]])
     assert [m.entries for m in exact_ranks] == [
-        ((0, F(1, 1 << 16)), (F(P, 1 << 16), F(1, 1 << 16))),
-        ((F(1, 1 << 16), 0), (0, F(P, 1 << 16))),
+        ((0, 1), (P, 1)),
+        ((1, 0), (0, P)),
     ]
     assert "_rref" not in vars(pt.subspace)  # the fallback needs no basis
 

@@ -276,7 +276,7 @@ def test_cached_residues_are_invisible():
     assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
     # a subspace kept on integer rows builds its basis only when read, and
     # is then indistinguishable from the span of the same rows
-    lazy = Subspace.of_integer_rows(3, [[105, 5, 0], [35, 35, -14]], 35)
+    lazy = Subspace.of_integer_rows(3, [[105, 5, 0], [35, 35, -14]])
     assert subspaces_intersect_trivially(lazy, Subspace.span([[0, 0, 1]])) and lazy.dim == 2
     assert "_residues" in vars(lazy) and "_rows" not in vars(lazy) and "_rref" not in vars(lazy)
     assert lazy.basis == fresh.basis and lazy.pivot_columns == fresh.pivot_columns
@@ -357,13 +357,13 @@ def test_vector_keeps_fraction_entries():
 
 def test_integer_rows_dependent_mod_p_are_reduced_exactly(exact_ranks):
     # (1, 0) and (0, P) are (1, 0) and 0 mod P, independent over Q
-    s = Subspace.of_integer_rows(2, [[1, 0], [0, P]], 3)
+    s = Subspace.of_integer_rows(2, [[1, 0], [0, P]])
     assert s.dim == 2 and s == Subspace.full(2)
     line = Subspace.of_integer_rows(2, [[1, 2], [2, 4]])
     assert line.dim == 1 and line == Subspace.span([[1, 2]])
-    assert not subspaces_intersect_trivially(line, Subspace.of_integer_rows(2, [[-3, -6]], 7))
+    assert not subspaces_intersect_trivially(line, Subspace.of_integer_rows(2, [[-3, -6]]))
     # both constructions reduce with rref, not rank; only the stacked rows
-    # (1, 2), (-3/7, -6/7), dependent mod P as over Q, reach the exact rank
-    assert [m.entries for m in exact_ranks] == [((1, 2), (Fraction(-3, 7), Fraction(-6, 7)))]
+    # (1, 2), (-3, -6), dependent mod P as over Q, reach the exact rank
+    assert [m.entries for m in exact_ranks] == [((1, 2), (-3, -6))]
     with pytest.raises(ValueError):
         Subspace.of_integer_rows(3, [[1, 0]])

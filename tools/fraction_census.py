@@ -15,8 +15,9 @@ The counts are summed per group: ``check-fp --certify`` calls, the other
 CLI calls, and each measure row.  Unlike timings they do not depend on the
 machine or its load, so a change that only removes arithmetic shows as an
 exact ratio.  ``--fixtures-only`` keeps only the CLI calls on the shipped
-fixtures; ``--measure-only`` keeps only the measure rows.  Prints one line
-per group and exits 0, or exits 2 if a worker fails.
+fixtures; ``--measure-only`` runs only the measure rows and generates no
+cli-mix file.  Prints one line per group and exits 0, or exits 2 if a
+worker fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from identity_sweep import call_lists  # noqa: E402
+from identity_sweep import call_lists, measure_calls  # noqa: E402
 
 CERTIFY = "check-fp --certify"
 OTHER = "other CLI calls"
@@ -92,9 +93,7 @@ def main(argv=None) -> int:
             parser.error(f"no src/sigmafp/cli.py under {tree}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        calls = call_lists(tmp, args.fixtures_only)
-        if args.measure_only:
-            calls = [argv for argv in calls if argv[0] == "measure"]
+        calls = measure_calls() if args.measure_only else call_lists(tmp, args.fixtures_only)
         calls_file = tmp / "calls.json"
         calls_file.write_text(json.dumps(calls))
         procs = [count_tree(src, calls_file) for src in srcs]

@@ -8,11 +8,12 @@ Run from anywhere:
 The calls are every call of the benchmark's cli-mix workload for seeds 1
 and 2 (``benchmarks/workloads.py`` of this checkout generates their problem
 and point files in a temporary directory), then ``measure --seed 42`` on
-the five ROADMAP rows at 300 samples.  Each checkout's ``src/`` is
-imported by its own subprocess, which runs ``sigmafp.cli.main`` in-process
-on every call and records the exit code, stdout and stderr; ``elapsed_ms``
-in ``measure`` reports is zeroed.  Prints ``identical (N calls)`` and exits 0, or prints
-the first differing call with both outputs and exits 1.
+the five ROADMAP rows at 300 samples, on this checkout's fixture files.
+Each checkout's ``src/`` is imported by its own subprocess, which runs
+``sigmafp.cli.main`` in-process on every call and records the exit code,
+stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.  Prints
+``identical (N calls)`` and exits 0, or prints the first differing call
+with both outputs and exits 1.
 """
 
 from __future__ import annotations
@@ -50,11 +51,17 @@ def call_lists(directory: Path, fixtures_only: bool) -> list[list[str]]:
         for cp in w.problems:
             if not fixtures_only or cp.label in workloads.FIXTURES:
                 calls += cp.calls
-    for fixture, k in MEASURE_ROWS:
-        path = str(directory / ".bench_out" / "cli-mix-1" / f"{fixture}.json")
-        calls.append(["measure", path, "--k", str(k), "--samples", str(MEASURE_SAMPLES),
-                      "--seed", str(MEASURE_SEED)])
-    return calls
+    return calls + measure_calls()
+
+
+def measure_calls() -> list[list[str]]:
+    """The argv of each measure row, on the fixture files shipped under src/."""
+    fixtures = ROOT / "src" / "sigmafp" / "fixtures"
+    return [
+        ["measure", str(fixtures / f"{fixture}.json"), "--k", str(k),
+         "--samples", str(MEASURE_SAMPLES), "--seed", str(MEASURE_SEED)]
+        for fixture, k in MEASURE_ROWS
+    ]
 
 
 def worker(calls_file: str) -> None:
