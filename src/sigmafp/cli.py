@@ -70,9 +70,12 @@ def _fmt_rows(rows) -> str:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ProblemFormatError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        reason = f"not UTF-8 ({e.reason} at byte {e.start})"
+        raise ProblemFormatError(f"cannot read {path}: {reason}") from e
 
 
 def _load_problem(path: str):

@@ -8,16 +8,15 @@ questions are answered on the kept rows, whatever basis they form.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
 package: it is the inner step of `_eliminate`, the kernel behind `rref`,
-`det` and `inverse`, and of the simplex tableau in `lp`.  The determinant is
-the signed product of the pivots `_eliminate` meets, and the inverse is the
-right half of the reduced `[M | I]`.
-
-`pivot` updates its rows in place and does no arithmetic on zeros: it
-scales only the pivot row's nonzero columns and updates only those columns
-of rows with a nonzero entry in the pivot column, and the pivot column
-itself becomes exactly 1 and 0 without arithmetic.  `vec_dot` likewise
-skips every pair that holds a zero.  Skipping changes no value, only the
-number of `Fraction`s built.
+`det` and `inverse`, and of the simplex tableau in `lp`.  It is
+fraction-free (Edmonds 1967, Bareiss 1968): its rows hold integers over one
+shared denominator d, and a pivot on the entry p of row r turns every other
+row i into (p*T_i - T_ic*T_r) // d, which Sylvester's identity makes exact,
+and makes p the new denominator.  `_eliminate` runs it from d = 1 on the
+rows scaled to integers by `integer_rows`.  `Fraction`s are built only at
+the edges: the entries T/d of the RREF and of the inverse (the right half
+of the reduced `[M | I]`), and the determinant, +/-d over the product of
+the row scales.  `vec_dot` skips every pair that holds a zero.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
 meet only in 0?", is decided modulo the prime P = 2**61 - 1 first.  Each row
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 Rational = Fraction
@@ -134,38 +133,37 @@ class Matrix:
         return Matrix(self.rows, other.cols, data)
 
 
-def pivot(work: list[list[Fraction]], r: int, c: int) -> None:
-    """Scale row r to 1 in column c, then clear column c from every other row.
+def pivot(work: list[Sequence[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free Gauss-Jordan step on integer rows work/d; returns the new d.
 
-    Rows are updated in place, so the caller must own them.  Only the pivot
-    row's nonzero columns are touched, and only in rows with a nonzero entry
-    in column c: everywhere else `a - f * b` would leave `a` as it is.
-    Column c itself is set to its known result, 1 in row r and 0 elsewhere.
+    Row r is kept, now over p = work[r][c]; every other row i is replaced by
+    (p*work[i] - work[i][c]*work[r]) // d, exact by Sylvester's identity if
+    d is an integer multiple of the determinant of the basis work/d is
+    reduced on (1 for unpivoted integer rows); with 0 in column c a row is
+    only rescaled, and kept if p == d.  No row is changed in place.
     """
     row = work[r]
-    inv = 1 / row[c]
-    nonzero = [j for j, a in enumerate(row) if a and j != c]
-    for j in nonzero:
-        row[j] = inv * row[j]
-    row[c] = ONE
+    p = row[c]
     for i, other in enumerate(work):
-        f = other[c]
-        if f and i != r:
-            for j in nonzero:
-                other[j] -= f * row[j]
-            other[c] = ZERO
+        if i != r:
+            f = other[c]
+            if f:
+                work[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
+            elif p != d:
+                work[i] = [p * a // d for a in other]
+    return p
 
 
-def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[Fraction], int]:
-    """Gauss-Jordan on the first ncols columns of work, in place.
+def _eliminate(work: list[Sequence[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Gauss-Jordan on the first ncols columns of integer rows, in place, from d = 1.
 
     Each column's pivot is its first nonzero entry at or below the current
-    row.  Returns the pivot columns, each pivot's value before its row is
-    normalised, and the parity of the row swaps.  Reduced rows come first.
+    row.  Returns the pivot columns, the final d (the reduced rows are
+    work/d) and the parity of the row swaps.  Reduced rows come first.
     """
     nrows = len(work)
     pivots: list[int] = []
-    values: list[Fraction] = []
+    d = 1
     parity = 0
     r = 0
     for c in range(ncols):
@@ -177,11 +175,14 @@ def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[list[int], list[
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
             parity ^= 1
-        values.append(work[r][c])
-        pivot(work, r, c)
+        d = pivot(work, r, c, d)
         pivots.append(c)
         r += 1
-    return pivots, values, parity
+    return pivots, d, parity
+
+
+def _over(a: int, d: int) -> Fraction:
+    return Fraction(a, d) if a else ZERO
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -189,10 +190,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Idempotent: rref(rref(m)) == rref(m).
     """
-    work = [list(r) for r in m.entries]
-    pivots, _, _ = _eliminate(work, m.cols)
+    work = list(integer_rows(m.entries))
+    pivots, d, _ = _eliminate(work, m.cols)
     r = len(pivots)
-    return Matrix(r, m.cols, tuple(tuple(row) for row in work[:r])), tuple(pivots)
+    reduced = tuple(tuple(_over(a, d) for a in row) for row in work[:r])
+    return Matrix(r, m.cols, reduced), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -265,16 +267,15 @@ def full_row_rank(m: Matrix) -> bool:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant: the signed product of the elimination pivots (0 if rank-deficient)."""
+    """Determinant: +/- the last elimination denominator of the integer rows,
+    over the product of their scales (0 if rank-deficient)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    pivots, values, parity = _eliminate([list(r) for r in m.entries], m.cols)
+    pivots, d, parity = _eliminate(list(integer_rows(m.entries)), m.cols)
     if len(pivots) < m.rows:
         return ZERO
-    result = -ONE if parity else ONE
-    for v in values:
-        result *= v
-    return result
+    scale = prod(lcm(*(a.denominator for a in row)) for row in m.entries)
+    return Fraction(-d if parity else d, scale)
 
 
 def cofactor(m: Matrix, i: int, j: int) -> Fraction:
@@ -293,11 +294,12 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    work = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(m.entries)]
-    pivots, _, _ = _eliminate(work, n)
+    augmented = [r + e for r, e in zip(m.entries, Matrix.identity(n).entries)]
+    work = list(integer_rows(augmented))
+    pivots, d, _ = _eliminate(work, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return Matrix(n, n, tuple(tuple(row[n:]) for row in work))
+    return Matrix(n, n, tuple(tuple(_over(a, d) for a in row[n:]) for row in work))
 
 
 def submatrix_columns(m: Matrix, columns: Sequence[int]) -> Matrix:

@@ -1,28 +1,32 @@
 """Exact rational linear programming with verifiable certificates.
 
-A two-phase tableau simplex over `Fraction` entries.  The tableau is one
+A two-phase tableau simplex on an integer tableau.  The tableau is one
 matrix: a row per constraint over the structural, slack and artificial
 columns, each row ending in its right-hand side.  While the simplex runs, the
 reduced-cost row z sits below the constraint rows, and every pivot is
-`linalg.pivot` over all of them, the same Gauss-Jordan step that `rref` uses.
-Bland's pivoting rule (lowest eligible index enters, ratio ties broken by
-lowest basic index) guarantees termination and makes every outcome
-deterministic.  Phase 1 starts from the slack basis where it can: each row
-is negated if that makes its right-hand side nonnegative (at right-hand
-side 0, if that gives its slack coefficient +1), an inequality row whose
-slack then has coefficient +1 starts on that slack, and only the other rows
-get an artificial variable.  Phase 1 ends with -z[-1] as its optimum, and
-when that is above zero the phase-1 dual, read off each row's starting
-column as y_i = 1 - z[artificial i] or y_i = -z[slack i], is a Farkas
-certificate of infeasibility.  Unbounded phase-2 runs return an explicit
-improving ray.
+`linalg.pivot` over all of them, the same fraction-free Gauss-Jordan step
+that `rref` uses.  Bland's pivoting rule (lowest eligible index enters,
+ratio ties broken by lowest basic index) guarantees termination and makes
+every outcome deterministic.  Phase 1 starts from the slack basis where it
+can: each row is negated if that makes its right-hand side nonnegative (at
+right-hand side 0, if that gives its slack coefficient +1), an inequality
+row whose slack then has coefficient +1 starts on that slack, and only the
+other rows get an artificial variable.  Phase 1 ends with -z[-1] as its
+optimum, and when that is above zero the phase-1 dual, read off each row's
+starting column as y_i = 1 - z[artificial i] or y_i = -z[slack i], is a
+Farkas certificate of infeasibility.  Unbounded phase-2 runs return an
+explicit improving ray.
 
-The hot loops do no arithmetic on zero entries, which leaves every value,
-pivot sequence and certificate as it would be without the skipping: `pivot`
-touches only the pivot row's nonzero columns, the reduced-cost row is built
-from the nonzero entries of the basic rows whose cost is nonzero, and
-`verify_farkas` aggregates only rows with a nonzero multiplier (it still
-rejects a negative multiplier on any row).
+The tableau holds the rational rows times one positive integer d, which
+`pivot` divides by.  Row i scaled by s_i, the lcm of its denominators, is an
+integer row starting on the basic column s_i e_i, so d starts at prod(s_i),
+the determinant of that basis: Sylvester's identity makes each division
+exact from there, and not from the lcm of the s_i or from 1.  The phase-2
+objective is scaled by its lcm, which keeps every reduced cost's sign; the
+ratio test compares integer cross products; a drive-out pivot on a negative
+entry negates every row.  `Fraction`s are built only for the point, the ray
+and the Farkas multipliers, so every value, pivot and certificate is that of
+the rational simplex.  The reduced-cost row and `verify_farkas` skip zeros.
 
 Outcomes are meant to be re-checked by substitution: `verify_point`,
 `verify_farkas`, and `verify_ray` perform those exact checks.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .linalg import Vector, pivot, vec_dot, vector
 
@@ -129,36 +134,42 @@ class _Tableau:
         ]
         self.art0 = art = slack + sum(c.relation != EQ for c in lp.constraints)
         self.n_cols = self.art0 + on_slack.count(False)
-        self.rows: list[list[Fraction]] = []
+        # d starts at prod(s_i), the determinant of the scaled starting basis.
+        self.d = d = prod(lcm(c.rhs.denominator, *(a.denominator for a in c.coeffs))
+                          for c in lp.constraints)
+        self.rows: list[list[int]] = []
         self.basis: list[int] = []
         for c, sign, starts_on_slack in zip(lp.constraints, self.row_sign, on_slack):
-            row = [ZERO] * (self.n_cols + 1)
+            row = [0] * (self.n_cols + 1)
             for col, (j, s) in enumerate(self.col_var):
-                row[col] = c.coeffs[j] if s == sign else -c.coeffs[j]
-            row[-1] = abs(c.rhs)
+                a = c.coeffs[j]
+                if a:
+                    row[col] = s * sign * a.numerator * (d // a.denominator)
+            row[-1] = abs(c.rhs.numerator) * (d // c.rhs.denominator)
             if c.relation != EQ:  # one slack per inequality, in row order
-                row[slack] = ONE if starts_on_slack else -ONE
+                row[slack] = d if starts_on_slack else -d
                 if starts_on_slack:
                     self.basis.append(slack)
                 slack += 1
             if not starts_on_slack:
-                row[art] = ONE
+                row[art] = d
                 self.basis.append(art)
                 art += 1
             self.rows.append(row)
         self.start_basis = tuple(self.basis)
 
-    def _run(self, cost: list[Fraction], allowed: list[int]) -> tuple[str, int, list[Fraction]]:
-        """Bland simplex to optimality.
+    def _run(self, cost: list[int], allowed: list[int]) -> tuple[str, int, list[int]]:
+        """Bland simplex to optimality, on integer costs.
 
-        The reduced-cost row z = (c - c_B B^-1 A, -c_B B^-1 b) rides below
+        The reduced-cost row z = d (c - c_B B^-1 A, -c_B B^-1 b) rides below
         the constraint rows and is pivoted with them.  Returns ("optimal",
         -1, z) or ("unbounded", entering column, z).
         """
         rows = self.rows
+        basis = self.basis
         m = len(rows)
-        z = cost + [ZERO]
-        for r, b in enumerate(self.basis):
+        z = [self.d * c for c in cost] + [0]
+        for r, b in enumerate(basis):
             cb = cost[b]
             if cb:
                 for j, x in enumerate(rows[r]):
@@ -166,28 +177,30 @@ class _Tableau:
                         z[j] -= cb * x
         rows.append(z)
         while True:
-            entering = next((j for j in allowed if rows[m][j] < 0), None)
+            z = rows[m]
+            entering = next((j for j in allowed if z[j] < 0), None)
             if entering is None:
                 return "optimal", -1, rows.pop()
-            best: tuple[Fraction, int, int] | None = None
+            # The least ratio b / a over a > 0, ties to the lower basic index.
+            best, best_a, best_b = -1, 1, 0
             for r in range(m):
                 a = rows[r][entering]
                 if a > 0:
-                    ratio = rows[r][-1] / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < (best[0], best[1]):
-                        best = (ratio, self.basis[r], r)
-            if best is None:
+                    b = rows[r][-1]
+                    gap = b * best_a - best_b * a
+                    if best < 0 or gap < 0 or (gap == 0 and basis[r] < basis[best]):
+                        best, best_a, best_b = r, a, b
+            if best < 0:
                 return "unbounded", entering, rows.pop()
-            pivot(rows, best[2], entering)
-            self.basis[best[2]] = entering
+            self.d = pivot(rows, best, entering, self.d)
+            basis[best] = entering
 
     def point(self) -> Vector:
         x = [ZERO] * self.lp.num_vars
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
                 j, s = self.col_var[b]
-                x[j] += s * self.rows[r][-1]
+                x[j] += s * Fraction(self.rows[r][-1], self.d)
         return tuple(x)
 
     def ray(self, entering: int) -> Vector:
@@ -198,11 +211,11 @@ class _Tableau:
         for r, b in enumerate(self.basis):
             if b < self.n_struct:
                 jj, ss = self.col_var[b]
-                d[jj] += ss * (-self.rows[r][entering])
+                d[jj] -= ss * Fraction(self.rows[r][entering], self.d)
         return tuple(d)
 
-    def farkas(self, z: list[Fraction]) -> Vector:
-        """Original-constraint multipliers from the phase-1 reduced costs z.
+    def farkas(self, z: list[int]) -> Vector:
+        """Original-constraint multipliers from the phase-1 reduced costs z/d.
 
         Row i's starting basic column began as e_i, so its reduced cost is
         its phase-1 cost minus y_i for the phase-1 dual y = c_B B^-1: y_i =
@@ -214,7 +227,8 @@ class _Tableau:
         """
         mult = []
         for c, sign, b in zip(self.lp.constraints, self.row_sign, self.start_basis):
-            u = sign * (ONE - z[b] if b >= self.art0 else -z[b])
+            zb = Fraction(z[b], self.d)
+            u = sign * (ONE - zb if b >= self.art0 else -zb)
             mult.append(u if c.relation == GE else -u)
         return tuple(mult)
 
@@ -230,7 +244,10 @@ class _Tableau:
                     # Redundant constraint: drop the row.
                     del self.rows[r], self.basis[r]
                     continue
-                pivot(self.rows, r, col)
+                self.d = pivot(self.rows, r, col, self.d)
+                if self.d < 0:
+                    self.rows = [[-a for a in row] for row in self.rows]
+                    self.d = -self.d
                 self.basis[r] = col
             r += 1
 
@@ -238,7 +255,7 @@ class _Tableau:
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact status with a certificate: point, optimum, Farkas vector, or ray."""
     tab = _Tableau(lp)
-    phase1_cost = [ZERO] * tab.art0 + [ONE] * (tab.n_cols - tab.art0)
+    phase1_cost = [0] * tab.art0 + [1] * (tab.n_cols - tab.art0)
     non_artificial = list(range(tab.art0))
     status, _, z = tab._run(phase1_cost, non_artificial)
     if status != "optimal":  # phase 1 is bounded below by zero
@@ -254,10 +271,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if not verify_point(lp, point):
             raise RuntimeError("internal error: infeasible point reported feasible")
         return LpOutcome(status="feasible", point=point)
-    sign = -ONE if lp.sense == "max" else ONE
-    phase2_cost = [ZERO] * tab.n_cols
+    # The objective times the lcm of its denominators, a positive scale.
+    scale = (-1 if lp.sense == "max" else 1) * lcm(*(a.denominator for a in lp.objective))
+    phase2_cost = [0] * tab.n_cols
     for col, (j, s) in enumerate(tab.col_var):
-        phase2_cost[col] = sign * s * lp.objective[j]
+        a = lp.objective[j]
+        phase2_cost[col] = s * a.numerator * (scale // a.denominator)
     status, entering, _ = tab._run(phase2_cost, non_artificial)
     point = tab.point()
     if not verify_point(lp, point):

@@ -23,9 +23,9 @@ def simplex_pivots(monkeypatch):
     count = [0]
     real_pivot = lp.pivot
 
-    def counting_pivot(rows, r, c):
+    def counting_pivot(rows, r, c, d):
         count[0] += 1
-        real_pivot(rows, r, c)
+        return real_pivot(rows, r, c, d)
 
     monkeypatch.setattr(lp, "pivot", counting_pivot)
     return count

@@ -88,6 +88,15 @@ def test_missing_file_exit_code(capsys):
     assert "cannot read" in err
 
 
+def test_file_that_is_not_utf8_is_a_file_error(f1, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"basis": [["1", "\xff"]]}')
+    for argv in (["gamma", str(bad)], ["check-fp", f1, "--subspace", str(bad)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err == f"error: cannot read {bad}: not UTF-8 (invalid start byte at byte 18)\n"
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "nontame.json"
     bad.write_text(

@@ -284,45 +284,67 @@ def test_cached_residues_are_invisible():
     assert lazy == fresh and hash(lazy) == hash(fresh) and repr(lazy) == repr(fresh)
     assert pickle.dumps(lazy) == pickle.dumps(Subspace.span(rows))
     assert pickle.loads(pickle.dumps(lazy)) == fresh
-    # workers inherit block and piece spans whose residues the serial run kept
+    # workers inherit piece spans whose residues the serial run kept
     p = load_fixture("f2")
     serial = run_measure_experiment(p, k=4, samples=40, seed=3)
     pooled = run_measure_experiment(p, k=4, samples=40, seed=3, jobs=2)
     assert {**vars(serial), "elapsed_ms": 0} == {**vars(pooled), "elapsed_ms": 0}
 
 
-# Sparse entries like the simplex's: mostly 0 and +/-1, some small fractions.
-sparse_entries = st.one_of(
-    st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1)]), small_fracs
-)
+# Sparse integer entries like the simplex's: mostly 0 and +/-1.
+sparse_entries = st.one_of(st.sampled_from([0] * 4 + [1, -1]), st.integers(-6, 6))
 
 
 def dense_pivot(work, r, c):
-    """Reference pivot: every entry of every row, as new lists."""
+    """Reference pivot on `Fraction` rows: every entry of every row, as new lists."""
     inv = 1 / work[r][c]
     row = [inv * a for a in work[r]]
     return [row if i == r else [a - other[c] * b for a, b in zip(other, row)]
             for i, other in enumerate(work)]
 
 
+def _pivot_entries(rows):
+    return [(i, j) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+
+
+def _check_pivot(rows, d, r, c):
+    """The integer pivot of d * rows over d, read as `Fraction`s over the
+    denominator it returns, must equal the dense pivot of rows."""
+    work = [[d * a for a in row] for row in rows]
+    assert d.denominator == 1 and all(a.denominator == 1 for row in work for a in row)
+    work = [[int(a) for a in row] for row in work]
+    new_d = pivot(work, r, c, int(d))
+    assert new_d == work[r][c] != 0
+    assert all(type(a) is int for row in work for a in row)
+    assert [[Fraction(a, new_d) for a in row] for row in work] == dense_pivot(rows, r, c)
+
+
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_pivot_matches_dense_reference(data):
+    # Integer rows taken from d = 1 through up to three dense pivots, so d is
+    # a minor of the drawn rows, then one more pivot on an entry of any sign.
     nrows = data.draw(st.integers(1, 5))
     ncols = data.draw(st.integers(1, 6))
-    work = data.draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
-    nonzero = [(i, j) for i, row in enumerate(work) for j, a in enumerate(row) if a]
-    if not nonzero:
-        return
-    r, c = data.draw(st.sampled_from(nonzero))
-    expected = dense_pivot(work, r, c)
-    row_objects = list(work)
-    pivot(work, r, c)
-    assert work == expected
-    assert all(type(a) is Fraction for row in work for a in row)
-    # rows are updated in place
-    assert all(a is b for a, b in zip(work, row_objects))
+    integers = data.draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+    rows = [[Fraction(a) for a in row] for row in integers]
+    d = Fraction(1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if _pivot_entries(rows):
+            r, c = data.draw(st.sampled_from(_pivot_entries(rows)))
+            d *= rows[r][c]
+            rows = dense_pivot(rows, r, c)
+    if _pivot_entries(rows):
+        _check_pivot(rows, d, *data.draw(st.sampled_from(_pivot_entries(rows))))
+
+
+def test_pivot_on_a_negative_entry_over_a_denominator_not_one():
+    rows = [[Fraction(a) for a in row] for row in ([2, 1, 4], [1, -1, 5], [3, 0, 1])]
+    # after the pivot on the 2 at (0, 0), d = 2 and the entry at (1, 1) is -3/2
+    rows = dense_pivot(rows, 0, 0)
+    assert rows[1][1] == Fraction(-3, 2)
+    _check_pivot(rows, Fraction(2), 1, 1)
 
 
 @given(matrices())

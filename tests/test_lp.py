@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,97 @@ def test_feasibility_from_slack_start_matches_vertex_oracle(simplex_pivots):
             assert out.status == "feasible" and simplex_pivots[0] == 0
             seen["all_on_slack"] += 1
     assert all(v >= 20 for v in seen.values()), seen
+
+
+def _seeded_general_lps():
+    """300 small LPs over the paths `measure` seldom takes: each row with its
+    own denominators, "<=", ">=" and "=" rows, many of them degenerate
+    (right-hand side 0), free variables, duplicated rows, and a fractional
+    objective under max and min, or none."""
+    rnd = random.Random(12)
+    for _ in range(300):
+        n = rnd.randint(1, 3)
+        constraints = []
+        for _ in range(rnd.randint(1, 3)):
+            den = rnd.choice([1, 2, 3, 4, 6])
+            constraints.append(lp.constraint(
+                [F(rnd.randint(-4, 4), den) for _ in range(n)],
+                rnd.choice([lp.LE, lp.GE, lp.EQ, lp.EQ]),
+                0 if rnd.random() < 0.3 else F(rnd.randint(-4, 4), rnd.choice([1, den])),
+            ))
+        if rnd.random() < 0.4:
+            constraints.insert(rnd.randint(0, len(constraints)), rnd.choice(constraints))
+        objective = None
+        if rnd.random() < 0.8:
+            objective = tuple(F(rnd.randint(-3, 3), rnd.choice([1, 2, 5])) for _ in range(n))
+        yield lp.LinearProgram(
+            num_vars=n,
+            constraints=tuple(constraints),
+            objective=objective,
+            sense=rnd.choice(["max", "min"]),
+            nonneg_vars=frozenset(j for j in range(n) if rnd.random() < 0.6),
+        )
+
+
+def _split_free_variables(problem):
+    """The same LP over nonnegative variables only: a free x_j is x+ - x-."""
+    columns = [(j, s) for j in range(problem.num_vars)
+               for s in ((1,) if j in problem.nonneg_vars else (1, -1))]
+
+    def split(v):
+        return tuple(s * v[j] for j, s in columns)
+
+    return lp.LinearProgram(
+        num_vars=len(columns),
+        constraints=tuple(lp.Constraint(split(c.coeffs), c.relation, c.rhs)
+                          for c in problem.constraints),
+        objective=None if problem.objective is None else split(problem.objective),
+        sense=problem.sense,
+        nonneg_vars=frozenset(range(len(columns))),
+    )
+
+
+def test_general_lps_match_vertex_oracle(monkeypatch):
+    # The integer tableau is exact only from its denominator prod(s_i): the
+    # rows' different denominators, the scaled objective, the free
+    # variables' column pairs, the dropped duplicate rows and the
+    # drive-out pivots on negative entries must all leave the verdict and
+    # optimum of vertex enumeration, with verified certificates.
+    seen = Counter()
+    real_pivot = lp.pivot
+    real_drive_out = lp._Tableau.drive_out_artificials
+
+    def recording_pivot(rows, r, c, d):
+        # the simplex pivots on positive entries only; drive-out on any
+        seen["negative pivot"] += rows[r][c] < 0
+        return real_pivot(rows, r, c, d)
+
+    def recording_drive_out(tab):
+        kept = len(tab.rows)
+        real_drive_out(tab)
+        seen["row dropped"] += len(tab.rows) < kept
+
+    monkeypatch.setattr(lp, "pivot", recording_pivot)
+    monkeypatch.setattr(lp._Tableau, "drive_out_artificials", recording_drive_out)
+    for problem in _seeded_general_lps():
+        out = lp.solve(problem)
+        split = _split_free_variables(problem)
+        vertices = enumerate_vertices(split)
+        seen[out.status, problem.sense] += 1
+        seen["free variables"] += len(problem.nonneg_vars) < problem.num_vars
+        if out.status == "infeasible":
+            assert not vertices and lp.verify_farkas(problem, out.farkas), problem
+            continue
+        assert vertices and lp.verify_point(problem, out.point), problem
+        if out.status == "unbounded":
+            assert lp.verify_ray(problem, out.ray), problem
+        elif out.status == "optimal":
+            values = [lp.vec_dot(split.objective, v) for v in vertices]
+            best = max(values) if problem.sense == "max" else min(values)
+            assert out.value == best, problem
+        else:
+            assert out.status == "feasible" and problem.objective is None
+    assert min(seen.values()) >= 10 and len(seen) == 11, seen
 
 
 def test_measure_rows_keep_their_simplex_pivots(simplex_pivots):

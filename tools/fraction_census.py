@@ -6,8 +6,9 @@ Run from anywhere:
     python3 tools/fraction_census.py --fixtures-only . .
     python3 tools/fraction_census.py --measure-only . .
 
-The calls are those of ``tools/identity_sweep.py`` (the cli-mix calls of
-seeds 1 and 2, then ``measure --seed 42`` on the five ROADMAP rows).  Each
+The calls are the CLI calls of ``tools/identity_sweep.py`` (the cli-mix
+calls of seeds 1 and 2, then ``measure --seed 42`` on the five ROADMAP
+rows), without its seeded ``lp.solve`` calls.  Each
 checkout's ``src/`` is imported by its own subprocess, which counts every
 call of ``Fraction.__new__`` (all `Fraction` arithmetic builds its result
 through it) while it runs ``sigmafp.cli.main`` in-process on each call.

@@ -8,10 +8,15 @@ Run from anywhere:
 The calls are every call of the benchmark's cli-mix workload for seeds 1
 and 2 (``benchmarks/workloads.py`` of this checkout generates their problem
 and point files in a temporary directory), then ``measure --seed 42`` on
-the five ROADMAP rows at 300 samples, on this checkout's fixture files.
+the five ROADMAP rows at 300 samples, on this checkout's fixture files,
+then one library call per seeded random LP: ``lp.solve`` on 1000 small LPs
+with "<=", ">=" and "=" rows, free variables and an objective under max or
+min, or none, whose outcomes are optimal, unbounded, infeasible or
+feasible.  CLI calls seldom reach phase 2 or an unbounded ray; these do.
 Each checkout's ``src/`` is imported by its own subprocess, which runs
-``sigmafp.cli.main`` in-process on every call and records the exit code,
-stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.  Prints
+``sigmafp.cli.main`` in-process on every CLI call and records the exit
+code, stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.
+A library call records ``repr`` of the outcome as its stdout.  Prints
 ``identical (N calls)`` and exits 0, or prints the first differing call
 with both outputs and exits 1.
 """
@@ -23,10 +28,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +41,8 @@ CLI_MIX_SEEDS = (1, 2)
 MEASURE_ROWS = (("f1", 1), ("f2", 4), ("f3", 1), ("f4", 2), ("f4", 3))
 MEASURE_SEED = 42
 MEASURE_SAMPLES = 300
+LP_SOLVE = "lp.solve"
+LP_COUNT = 1000
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+')
 
 
@@ -64,11 +73,43 @@ def measure_calls() -> list[list[str]]:
     ]
 
 
+def lp_calls() -> list[list[str]]:
+    """One library call per seeded LP: its name and seed."""
+    return [[LP_SOLVE, str(seed)] for seed in range(LP_COUNT)]
+
+
+def seeded_lp(seed: int):
+    """A small random LP with rational data, built from `seed` alone."""
+    from sigmafp import lp
+
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 4)
+
+    def entry():
+        if rnd.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rnd.randint(-5, 5), rnd.choice([1, 1, 2, 3, 4]))
+
+    constraints = [lp.constraint([entry() for _ in range(n)], rnd.choice([lp.LE, lp.GE, lp.EQ]),
+                                 entry()) for _ in range(rnd.randint(1, 5))]
+    return lp.LinearProgram(
+        num_vars=n,
+        constraints=tuple(constraints),
+        objective=tuple(entry() for _ in range(n)) if rnd.random() < 0.8 else None,
+        sense=rnd.choice(["max", "min"]),
+        nonneg_vars=frozenset(j for j in range(n) if rnd.random() < 0.7),
+    )
+
+
 def worker(calls_file: str) -> None:
     """Run every call on the sigmafp that PYTHONPATH names; one JSON line each."""
     import sigmafp.cli
+    from sigmafp import lp
 
     for argv in json.loads(Path(calls_file).read_text()):
+        if argv[0] == LP_SOLVE:
+            print(json.dumps([argv, 0, repr(lp.solve(seeded_lp(int(argv[1])))), ""]))
+            continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = sigmafp.cli.main(argv)
@@ -100,7 +141,7 @@ def main(argv=None) -> int:
             parser.error(f"no src/sigmafp/cli.py under {tree}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        calls = call_lists(tmp, args.fixtures_only)
+        calls = call_lists(tmp, args.fixtures_only) + lp_calls()
         calls_file = tmp / "calls.json"
         calls_file.write_text(json.dumps(calls))
         procs = [run_tree(src, calls_file, tmp / f"{name}.jsonl")
