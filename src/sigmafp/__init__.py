@@ -67,7 +67,6 @@ from .grassmann import (
 )
 from .linalg import (
     Matrix,
-    Rational,
     Subspace,
     Vector,
     kernel_basis,

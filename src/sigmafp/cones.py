@@ -36,7 +36,6 @@ from .linalg import (
     Subspace,
     Vector,
     constraint_rows,
-    integer_rows,
     is_zero_vector,
     subspaces_intersect_trivially,
     vec_neg,
@@ -158,9 +157,9 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
 # at 1024.
 @lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
-    # The span is kept on the generators, scaled to integer rows (canonical
-    # rays already are), whenever they are independent.
-    return Subspace.of_integer_rows(c.ambient_dim, integer_rows(c.generators))
+    # `span` keeps the generators (canonical rays are integer rows) whenever
+    # they are independent mod P.
+    return Subspace.span(c.generators, ambient_dim=c.ambient_dim)
 
 
 def cone_contains(c: ConvexCone, x) -> bool:

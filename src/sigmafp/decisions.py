@@ -60,7 +60,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    full_row_rank,
     inverse,
     linf_norm,
     rref,
@@ -507,7 +506,7 @@ class NonFpBox:
 
 
 def _independent(rows: list[Vector]) -> bool:
-    return full_row_rank(Matrix.from_rows(rows))
+    return Subspace.span(rows).dim == len(rows)
 
 
 def box_point(box: NonFpBox, a_entries: Matrix) -> SubspacePoint:

@@ -3,13 +3,14 @@
 A subgroup of rank k in a product of total dual dimension N corresponds to
 the (N-k)-dimensional subspace of functionals vanishing on it.  A point is
 a `Subspace` together with k; it compares, hashes and prints through its
-canonical RREF basis.  A sampled point is kept on its integer grid draw:
-its independence and every rank question asked of it are decided on the
-draw's residues mod P, and its RREF basis is built only when read.  Charts
-follow the [I | A] row-echelon parametrisation of the complements of a
-fixed subspace.  A point is a virtual subdirect product iff S meets each
-factor block [a, b) only in 0, iff any basis of S restricted to the columns
-outside [a, b) has full row rank; no block subspace is built.
+canonical RREF basis.  Every subspace is kept on integer rows (a sampled
+point on its grid draw's numerators): its independence and every rank
+question asked of it are decided on their residues mod P, and its RREF
+basis is built only when read.  Charts follow the [I | A] row-echelon
+parametrisation of the complements of a fixed subspace.  A point is a
+virtual subdirect product iff S meets each factor block [a, b) only in 0,
+iff any basis of S restricted to the columns outside [a, b) has full row
+rank; no block subspace is built.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .linalg import (
     Matrix,
     Subspace,
     avoids_block,
-    full_row_rank,
-    integer_rows,
     vec_add,
     vec_scale,
 )
@@ -69,7 +68,7 @@ def chart(complement_basis: Matrix, a_matrix: Matrix) -> Chart:
     n = complement_basis.rows
     if complement_basis.cols != n:
         raise ValueError("chart basis must be square")
-    if not full_row_rank(complement_basis):
+    if Subspace.span(complement_basis.entries, ambient_dim=n).dim != n:
         raise ValueError("singular chart basis")
     if a_matrix.rows + a_matrix.cols != n:
         raise ValueError("A must be (N - k) x k")
@@ -101,7 +100,7 @@ def _avoids_blocks(s: Subspace, p: ProductSpace) -> bool:
 def rows_avoid_blocks(rows: Matrix, p: ProductSpace) -> bool:
     """True iff the rows are independent and span a subspace meeting every
     block only in 0."""
-    s = Subspace.of_integer_rows(rows.cols, integer_rows(rows.entries))
+    s = Subspace.span(rows.entries, ambient_dim=rows.cols)
     return s.dim == rows.rows and _avoids_blocks(s, p)
 
 

@@ -1,10 +1,11 @@
 """Exact rational linear algebra: vectors, matrices, RREF, kernels, subspaces.
 
 Every coordinate is a `fractions.Fraction`, so ranks, kernels, and equality
-tests are exact.  A subspace is kept on the independent rows it was built
-from.  Its reduced row-echelon basis is canonical (two subspaces are equal
-iff those bases are entry-wise equal) and is computed only when read; rank
-questions are answered on the kept rows, whatever basis they form.
+tests are exact.  A subspace is kept on linearly independent integer rows
+(rows scaled by the lcm of their denominators).  Its reduced row-echelon
+basis is canonical (two subspaces are equal iff those bases are entry-wise
+equal) and is computed only when read; rank questions are answered on the
+integer rows, whatever basis they form.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
 package: it is the inner step of `_eliminate`, the kernel behind `rref`,
@@ -19,14 +20,13 @@ of the reduced `[M | I]`), and the determinant, +/-d over the product of
 the row scales.  `vec_dot` skips every pair that holds a zero.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
-meet only in 0?", is decided modulo the prime P = 2**61 - 1 first.  Each row
-is scaled by the lcm of its denominators to an integer row and reduced
-mod P; if those residue rows are independent over F_P, some maximal minor
-of the integer rows is nonzero mod P, hence a nonzero integer, so the rows
-are independent over Q.  Only a rank deficient mod P falls back to the exact
-`rank`.  A verdict therefore never depends on P, only the time taken to
-reach it.  A `Subspace` keeps the residue rows of its kept rows once
-computed.
+meet only in 0?", is decided modulo the prime P = 2**61 - 1 first, on the
+integer rows reduced mod P: if those residue rows are independent over F_P,
+some maximal minor of the integer rows is nonzero mod P, hence a nonzero
+integer, so the rows are independent over Q.  Only a rank deficient mod P
+falls back to the exact `rank` of the integer rows.  A verdict therefore
+never depends on P, only the time taken to reach it.  A `Subspace` keeps
+its residue rows once computed.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -114,11 +113,6 @@ class Matrix:
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def mul_vec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -198,22 +192,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[0].rows
+    return len(_eliminate(list(integer_rows(m.entries)), m.cols)[0])
 
 
 def integer_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
     """Each row scaled by the lcm of its denominators: integer rows with the
-    same row space."""
+    same row space (rows of `int`s come back as they are)."""
     out = []
     for row in rows:
         d = lcm(*(a.denominator for a in row))
         out.append(tuple(a.numerator * (d // a.denominator) for a in row))
     return tuple(out)
-
-
-def _residue_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Each row scaled to an integer row, then reduced mod P."""
-    return tuple(tuple(a % P for a in row) for row in integer_rows(rows))
 
 
 def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
@@ -238,32 +227,24 @@ def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
 
 
 def _independent(
+    rows: Sequence[Sequence[int]],
     residues: Sequence[Sequence[int]],
-    exact_rows: Callable[[], Sequence[Vector]],
     columns: Sequence[int] | None = None,
 ) -> bool:
-    """True iff some rows, restricted to `columns` (all by default), are
+    """True iff integer rows, restricted to `columns` (all by default), are
     linearly independent over Q.
 
-    `residues` are the rows' residues mod P, each row first scaled by a
-    nonzero rational to an integer row.  Independence mod P settles it; only
-    a rank deficient mod P is re-decided by the exact `rank`, on the
-    `Fraction` rows that `exact_rows()` returns, asked for only then.
+    `residues` are the rows mod P.  Independence mod P settles it; only a
+    rank deficient mod P is re-decided by the exact `rank` of the rows.
     """
     if columns is not None:
         residues = [[row[c] for c in columns] for row in residues]
     if _independent_mod_p(residues):
         return True
-    rows = tuple(exact_rows())
-    m = Matrix(len(rows), len(rows[0]), rows)
+    m = Matrix(len(rows), len(rows[0]), tuple(rows))
     if columns is not None:
         m = submatrix_columns(m, columns)
     return rank(m) == m.rows
-
-
-def full_row_rank(m: Matrix) -> bool:
-    """True iff m's rows are linearly independent over Q; decided mod P first."""
-    return _independent(_residue_rows(m.entries), lambda: m.entries)
 
 
 def det(m: Matrix) -> Fraction:
@@ -308,18 +289,18 @@ def submatrix_columns(m: Matrix, columns: Sequence[int]) -> Matrix:
 
 
 class Subspace:
-    """A rational subspace, kept on the linearly independent rows it was
-    built from.
+    """A rational subspace, kept on linearly independent integer rows and
+    their residues mod P.
 
     `basis` and `pivot_columns` are the canonical reduced row-echelon form,
-    computed from the kept rows the first time either is read.  Equality,
+    computed from the integer rows the first time either is read.  Equality,
     hash, repr and pickles go through that form, so two subspaces are equal
     iff their RREF bases are entry-wise equal, whatever rows built them.
 
-    `Subspace(ambient_dim, basis, pivot_columns)` and `span` keep the RREF
-    basis itself.  `of_integer_rows` keeps integer rows with their residues
-    mod P, and builds their `Fraction`s only if an exact fallback or the
-    canonical form reads them.
+    `span` and `of_integer_rows` keep rows independent mod P as they are;
+    rows dependent mod P are reduced exactly at once.  A subspace built from
+    its RREF basis, `Subspace(ambient_dim, basis, pivot_columns)`, derives
+    its integer rows from that basis when a rank question first asks.
 
     The zero subspace keeps an explicit ambient dimension and no rows,
     avoiding 0xN matrix ambiguity.
@@ -333,7 +314,6 @@ class Subspace:
         vars(self).update(
             ambient_dim=ambient_dim,
             dim=basis.rows,
-            _rows=basis.entries,
             _rref=(basis, pivot_columns),
         )
 
@@ -349,8 +329,7 @@ class Subspace:
             ambient_dim = n
         elif ambient_dim is None:
             raise ValueError("ambient dimension required for an empty span")
-        reduced, pivots = rref(Matrix(len(rows), ambient_dim, rows))
-        return Subspace(ambient_dim, reduced, pivots)
+        return Subspace.of_integer_rows(ambient_dim, integer_rows(rows))
 
     @staticmethod
     def of_integer_rows(ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
@@ -365,8 +344,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         residues = tuple(tuple(a % P for a in row) for row in integers)
         if not _independent_mod_p(residues):
-            exact = _fraction_rows(integers)
-            return Subspace(ambient_dim, *rref(Matrix(len(exact), ambient_dim, exact)))
+            return Subspace(ambient_dim, *rref(Matrix(len(integers), ambient_dim, integers)))
         s = object.__new__(Subspace)
         vars(s).update(
             ambient_dim=ambient_dim, dim=len(integers), _integers=integers, _residues=residues
@@ -382,18 +360,17 @@ class Subspace:
         return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
 
     @cached_property
-    def _rows(self) -> tuple[Vector, ...]:
-        # Reached only by instances of `of_integer_rows`; the others are
-        # built with their rows.
-        return _fraction_rows(self._integers)
+    def _integers(self) -> tuple[tuple[int, ...], ...]:
+        # Reached only by instances built from their RREF basis.
+        return integer_rows(self.basis.entries)
 
     @cached_property
     def _residues(self) -> tuple[tuple[int, ...], ...]:
-        return _residue_rows(self._rows)
+        return tuple(tuple(a % P for a in row) for row in self._integers)
 
     @cached_property
     def _rref(self) -> tuple[Matrix, tuple[int, ...]]:
-        return rref(Matrix(self.dim, self.ambient_dim, self._rows))
+        return rref(Matrix(self.dim, self.ambient_dim, self._integers))
 
     @property
     def basis(self) -> Matrix:
@@ -441,10 +418,6 @@ class Subspace:
         return all(a == 0 for a in residue)
 
 
-def _fraction_rows(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(a) for a in row) for row in rows)
-
-
 def _kernel_vectors(reduced: Matrix, pivots: Sequence[int]) -> list[list[Fraction]]:
     """A basis of {x : reduced x = 0}, one vector per free column, from an RREF."""
     pivot_set = set(pivots)
@@ -467,20 +440,20 @@ def kernel_basis(m: Matrix) -> Subspace:
 def constraint_rows(s: Subspace) -> Matrix:
     """A matrix K with null(K) = s: the linear equations cutting out s.
 
-    K is the RREF basis of the kernel of s's RREF basis; that basis is
-    already reduced, so its kernel is read off it directly.
+    K is the RREF of the kernel of s's RREF basis; that basis is already
+    reduced, so its kernel is read off it directly.
     """
     if not s.dim:
         return Matrix.identity(s.ambient_dim)
-    vectors = _kernel_vectors(s.basis, s.pivot_columns)
-    return Subspace.span(vectors, ambient_dim=s.ambient_dim).basis
+    vectors = tuple(map(tuple, _kernel_vectors(s.basis, s.pivot_columns)))
+    return rref(Matrix(len(vectors), s.ambient_dim, vectors))[0]
 
 
 def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
     """True iff u and v meet only in 0, i.e. their sum is direct.
 
     Three exits: dim u + dim v > N means they meet, by the dimension count;
-    the stacked kept rows independent mod P (from the residues each
+    the stacked integer rows independent mod P (from the residues each
     subspace keeps) means they do not; otherwise the exact `rank` of the
     stacked rows decides.  Independence mod P implies independence over Q,
     so the answer never depends on P.
@@ -491,13 +464,13 @@ def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
         return True
     if u.dim + v.dim > u.ambient_dim:
         return False
-    return _independent(u._residues + v._residues, lambda: u._rows + v._rows)
+    return _independent(u._integers + v._integers, u._residues + v._residues)
 
 
 def avoids_block(s: Subspace, start: int, stop: int) -> bool:
     """True iff s meets the coordinate block spanned by e_start, ...,
-    e_(stop-1) only in 0, i.e. s's kept rows, restricted to the columns
+    e_(stop-1) only in 0, i.e. s's integer rows, restricted to the columns
     outside [start, stop), are independent.  Any basis of s answers alike,
     so no canonical basis is needed."""
     outside = [*range(start), *range(stop, s.ambient_dim)]
-    return _independent(s._residues, lambda: s._rows, outside)
+    return _independent(s._integers, s._residues, outside)

@@ -55,6 +55,20 @@ def test_check_vsp(f1, tmp_path, capsys):
     assert "NOT a virtual subdirect product" in out
 
 
+def test_check_vsp_builds_no_rref(f1, tmp_path, capsys, exact_rrefs):
+    # the parsed S° is kept on its rows scaled to integers, and the vsp test
+    # reads their residues mod P: no RREF basis is built
+    lemma = "check-vsp [Lemma: S° ∩ G_i* = {0} for each i] → "
+    for rows, verdict in (
+        ([[1, -1]], "virtual subdirect product"),
+        ([[1, 0]], "NOT a virtual subdirect product"),
+        ([["1/2", 3]], "virtual subdirect product"),
+    ):
+        sub = subspace_file(tmp_path, rows)
+        assert run(capsys, ["check-vsp", f1, "--subspace", sub]) == (0, lemma + verdict + "\n", "")
+    assert exact_rrefs == []
+
+
 def test_check_fp_precondition_exit_code(f1, tmp_path, capsys):
     sub = subspace_file(tmp_path, [[1, 0]])
     code, _, err = run(capsys, ["check-fp", f1, "--subspace", sub])

@@ -216,7 +216,7 @@ def test_vsp_margin_equals_cofactor_bound_without_determinants(monkeypatch):
             continue
         for i in range(len(p.factors)):
             w, block = pt.subspace, block_subspace(p, i)
-            stacked = w.basis.stack(block.basis)
+            stacked = Matrix(w.dim + block.dim, w.ambient_dim, w.basis.entries + block.basis.entries)
             _, cols = linalg.rref(stacked)
             square = linalg.submatrix_columns(stacked, cols)
             total = sum(

@@ -156,23 +156,23 @@ def test_vsp_test_matches_stacked_rank_oracle(case):
     assert rows_avoid_blocks(Matrix(len(rows), n, tuple(map(linalg.vector, rows))), p) == (
         avoids_blocks_oracle(p, rows)
     )
-    space = Subspace.span(rows, ambient_dim=n)
-    basis = [list(r) for r in space.basis.entries]
-    pt = subspace_point(space, n - space.dim)
-    assert is_virtual_subdirect(pt, p) == avoids_blocks_oracle(p, basis)
-    # The same rows scaled to integers: kept as they are unless dependent
+    # The span is kept on the rows as they are unless they are dependent
     # mod P, so the vsp test runs on them, with the exact fallback wherever
     # P divides a minor.
+    space = Subspace.span(rows, ambient_dim=n)
+    expected = avoids_blocks_oracle(p, [list(r) for r in space.basis.entries])
     kept = Subspace.of_integer_rows(n, linalg.integer_rows(tuple(map(linalg.vector, rows))))
-    pt = subspace_point(kept, n - kept.dim)
-    assert is_virtual_subdirect(pt, p) == avoids_blocks_oracle(p, basis)
     assert kept == space
+    # rebuilt from the RREF basis, or unpickled: integer rows derived from the basis
+    rebuilt = Subspace(n, space.basis, space.pivot_columns)
+    for s in (space, kept, rebuilt, pickle.loads(pickle.dumps(space))):
+        assert is_virtual_subdirect(subspace_point(s, n - s.dim), p) == expected
 
 
 def test_vsp_point_deficient_mod_p_falls_back_once(monkeypatch):
-    # S° = span{(p, 1)} has RREF row (1, 1/p), scaled to (p, 1) = (0, 1) mod p:
+    # S° = span{(p, 1)} is kept on the integer row (p, 1) = (0, 1) mod p:
     # off the first block it reads 1, off the second 0 mod p, where only the
-    # exact rank of the 1 x 1 submatrix (1) decides.
+    # exact rank of the 1 x 1 submatrix (p) decides.
     seen = []
     real_rank = linalg.rank
 
@@ -183,7 +183,7 @@ def test_vsp_point_deficient_mod_p_falls_back_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank", counting_rank)
     pt = subspace_point(Subspace.span([[P, 1]]), 1)
     assert is_virtual_subdirect(pt, load_fixture("f1"))
-    assert seen == [Matrix.from_rows([[1]])]
+    assert [m.entries for m in seen] == [((P,),)]
 
 
 def test_sample_point_deterministic():

@@ -13,7 +13,6 @@ from sigmafp.linalg import (
     Matrix,
     Subspace,
     det,
-    full_row_rank,
     inverse,
     kernel_basis,
     rank,
@@ -76,7 +75,7 @@ def test_intersect_trivially_plane_and_line():
     # rank of the 3x3 stack is 3 by direct elimination
     plane = Subspace.span([[1, 0, 0], [0, 1, 0]])
     line = Subspace.span([[1, 1, 1]])
-    stacked = plane.basis.stack(line.basis)
+    stacked = Matrix(3, 3, plane.basis.entries + line.basis.entries)
     assert rank(stacked) == 3
     assert subspaces_intersect_trivially(plane, line)
 
@@ -224,28 +223,35 @@ def test_intersect_trivially_matches_fraction_rank_oracle(pair):
     expected = rank_oracle(u_rows + v_rows) == rank_oracle(u_rows) + rank_oracle(v_rows)
     assert subspaces_intersect_trivially(u, v) == expected
     assert subspaces_intersect_trivially(v, u) == expected
+    # rebuilt from the RREF basis, or unpickled: integer rows derived from the basis
+    for w in (Subspace(u.ambient_dim, u.basis, u.pivot_columns), pickle.loads(pickle.dumps(u))):
+        assert subspaces_intersect_trivially(w, v) == expected
+        assert subspaces_intersect_trivially(v, w) == expected
 
 
 P = (1 << 61) - 1
 
 
-def test_full_rank_over_q_but_not_mod_p_falls_back(exact_ranks):
-    # (p, 1) scales to the integer row (p, 1), which is (0, 1) mod p
+def test_full_rank_over_q_but_not_mod_p_falls_back(exact_ranks, exact_rrefs):
+    # (p, 1) is kept as the integer row (p, 1), which is (0, 1) mod p
     assert subspaces_intersect_trivially(Subspace.span([[P, 1]]), Subspace.span([[0, 1]]))
-    assert len(exact_ranks) == 1
-    # both rows of the plane are (0, 0, 1) mod p; det of the stack is 1 - 2/p
+    assert len(exact_ranks) == 1 and exact_rrefs == []
+    # both rows of the plane are (0, 0, 1) mod p, so the span is reduced
+    # exactly; det of the stack is 1 - 2/p
     plane = Subspace.span([[P, 0, 1], [0, P, 1]])
+    assert plane.dim == 2 and len(exact_rrefs) == 1
     assert subspaces_intersect_trivially(plane, Subspace.span([[1, 1, 1]]))
     assert len(exact_ranks) == 2
-    assert full_row_rank(Matrix.from_rows([[P, 0, 1], [0, P, 1], [1, 1, 1]]))
-    assert len(exact_ranks) == 3
+    assert Subspace.span([[P, 0, 1], [0, P, 1], [1, 1, 1]]).dim == 3
+    assert len(exact_rrefs) == 2 and len(exact_ranks) == 2
 
 
-def test_truly_dependent_rows_fall_back_and_stay_dependent(exact_ranks):
+def test_truly_dependent_rows_fall_back_and_stay_dependent(exact_ranks, exact_rrefs):
     line = Subspace.span([[P, 1]])
     assert not subspaces_intersect_trivially(line, Subspace.span([[2 * P, 2]]))
-    assert not full_row_rank(Matrix.from_rows([[1, 2], [2, 4]]))
-    assert len(exact_ranks) == 2
+    assert len(exact_ranks) == 1 and exact_rrefs == []
+    assert Subspace.span([[1, 2], [2, 4]]).dim == 1
+    assert len(exact_rrefs) == 1 and len(exact_ranks) == 1
 
 
 def test_dimension_count_and_mod_p_exits_skip_the_fallback(exact_ranks):
@@ -265,25 +271,29 @@ def test_cached_residues_are_invisible():
     rows = [[3, Fraction(1, 7), 0], [1, 1, Fraction(-2, 5)]]
     used = Subspace.span(rows)
     assert subspaces_intersect_trivially(used, Subspace.span([[0, 0, 1]]))
-    assert "_residues" in vars(used)
+    # kept on its rows scaled to integers; no RREF is built before a read
+    assert used._integers == ((21, 1, 0), (5, 5, -2))
+    assert "_residues" in vars(used) and "_rref" not in vars(used)
+    assert not hasattr(used, "_rows")
     fresh = Subspace.span(rows)
-    assert "_residues" not in vars(fresh)
+    assert "_rref" not in vars(fresh)
+    # integer rows of the same span build their basis only when read too
+    lazy = Subspace.of_integer_rows(3, [[105, 5, 0], [35, 35, -14]])
+    assert subspaces_intersect_trivially(lazy, Subspace.span([[0, 0, 1]])) and lazy.dim == 2
+    assert "_residues" in vars(lazy) and "_rref" not in vars(lazy)
+    assert lazy.basis == fresh.basis and lazy.pivot_columns == fresh.pivot_columns
+    assert "_rref" in vars(lazy) and "_rref" in vars(fresh)
     clone = pickle.loads(pickle.dumps(used))
-    for s in (used, clone):
+    assert "_integers" not in vars(clone)
+    for s in (used, clone, lazy):
         assert s == fresh
         assert hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
+        assert pickle.dumps(s) == pickle.dumps(Subspace.span(rows))
+        assert pickle.loads(pickle.dumps(s)) == fresh
+    # the clone derives its integer rows from its basis when first asked
     assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
-    # a subspace kept on integer rows builds its basis only when read, and
-    # is then indistinguishable from the span of the same rows
-    lazy = Subspace.of_integer_rows(3, [[105, 5, 0], [35, 35, -14]])
-    assert subspaces_intersect_trivially(lazy, Subspace.span([[0, 0, 1]])) and lazy.dim == 2
-    assert "_residues" in vars(lazy) and "_rows" not in vars(lazy) and "_rref" not in vars(lazy)
-    assert lazy.basis == fresh.basis and lazy.pivot_columns == fresh.pivot_columns
-    assert "_rref" in vars(lazy)
-    assert lazy == fresh and hash(lazy) == hash(fresh) and repr(lazy) == repr(fresh)
-    assert pickle.dumps(lazy) == pickle.dumps(Subspace.span(rows))
-    assert pickle.loads(pickle.dumps(lazy)) == fresh
+    assert clone._integers == ((50, 0, 1), (0, 50, -21))
     # workers inherit piece spans whose residues the serial run kept
     p = load_fixture("f2")
     serial = run_measure_experiment(p, k=4, samples=40, seed=3)
