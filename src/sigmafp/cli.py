@@ -252,7 +252,7 @@ def _build_parser() -> _Parser:
         if subspace:
             sp.add_argument(
                 "--subspace", required=True, metavar="FILE",
-                help="subspace file giving the RREF basis rows of S°",
+                help="subspace file giving rows that span S°",
             )
         if k:
             sp.add_argument("--k", type=int, required=True, help="rank of the subgroup points")

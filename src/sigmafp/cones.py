@@ -7,12 +7,12 @@ feasibility over the generators.  One slice LP {lam >= 0, sum lam = 1,
 A lam = 0} settles lines and antipodal pairs with A = G (a + b contains a
 line iff some nonzero x in a has -x in b, or a or b contains a line), and
 with A = K G, where K x = 0 cuts out a subspace, whether a pointed piece
-meets it nontrivially.  A union compiles its generator matrices, spans,
-pointedness and maximal pieces once, on the instance.  A subspace that meets
-a piece meets every piece whose generators include that piece's, so
-`union_meets_subspace` decides on the maximal pieces alone and scans the full
-piece order only to name the witness; `union_avoids_subspace` gives the
-verdict alone and never names one.
+meets it nontrivially; independent generators need no LP for lines.  A
+union compiles its generator matrices, spans, pointedness and maximal pieces
+once, on the instance.  A subspace that meets a piece meets every piece whose
+generators include that piece's, so `union_meets_subspace` decides on the
+maximal pieces alone and scans the full piece order only to name the
+witness; `union_avoids_subspace` gives the verdict alone and never names one.
 
 A non-pointed piece has 0 on its slice, so there, and to name the witness
 once a slice LP is feasible, the question is normalised per coordinate: a
@@ -37,6 +37,7 @@ from .linalg import (
     Vector,
     constraint_rows,
     is_zero_vector,
+    rank,
     subspaces_intersect_trivially,
     vec_neg,
     vector,
@@ -192,12 +193,16 @@ def _slice_lp(a: Matrix) -> lp.LinearProgram:
     return lp.feasibility(num_vars=k, constraints=constraints, nonneg_vars=range(k))
 
 
+def _zero_is_convex_combination(g: Matrix, g_rank: int) -> bool:
+    """Whether 0 is a convex combination of G's columns, given their rank; no LP if independent."""
+    return g_rank < g.cols and lp.solve(_slice_lp(g)).status == "feasible"
+
+
 def cone_contains_line(c: ConvexCone) -> bool:
     """True iff the cone is non-pointed: 0 is a convex combination of
-    generators with coefficients summing to 1."""
-    if not c.generators:
-        return False
-    return lp.solve(_slice_lp(_generator_matrix(c))).status == "feasible"
+    generators (independent ones settle it with no LP)."""
+    g = _generator_matrix(c)
+    return _zero_is_convex_combination(g, rank(g))
 
 
 def cone_sum(a: ConvexCone, b: ConvexCone) -> ConvexCone:
@@ -289,7 +294,7 @@ def piece_subspace_lps(piece: ConvexCone, w: Subspace) -> list[lp.LinearProgram]
 class _CompiledUnion:
     """A union's nonzero pieces as (index, generator matrix, span), the
     maximal ones among them, and pointedness flags filled in the first time
-    a piece is asked about.
+    a piece is asked about, by `cone_contains_line`'s test on the span's rank.
 
     A piece is maximal unless its generator set is a strict subset of
     another piece's; every piece lies inside some maximal piece.
@@ -304,9 +309,8 @@ class _CompiledUnion:
         self._pointed: dict[int, bool] = {}
 
     def pointed(self, i: int, g: Matrix, span: Subspace) -> bool:
-        # Independent generators admit no convex combination equal to 0.
         if i not in self._pointed:
-            self._pointed[i] = span.dim == g.cols or lp.solve(_slice_lp(g)).status != "feasible"
+            self._pointed[i] = not _zero_is_convex_combination(g, span.dim)
         return self._pointed[i]
 
 
@@ -395,9 +399,9 @@ def union_avoids_subspace(u: ConeUnion, w: Subspace) -> bool:
 def union_is_tame(u: ConeUnion) -> bool:
     """No antipodal pair: x and -x nonzero in the union never both occur.
 
-    One line LP per unordered pair of pieces (a, b), a == b included: a line
-    in a + b is an antipodal pair across a and b or inside one of them.
-    Decided once per union instance.
+    One line test per unordered pair of pieces (a, b), a == b included: a
+    line in a + b is an antipodal pair across a and b or inside one of them.
+    Decided once per union instance; independent generators need no LP.
     """
     return u._tame
 

@@ -510,7 +510,9 @@ def _independent(rows: list[Vector]) -> bool:
 
 
 def box_point(box: NonFpBox, a_entries: Matrix) -> SubspacePoint:
-    """The point of the box with the given chart matrix A (entries in (0, 1])."""
+    """The box's point at chart matrix A (the chart's shape, entries in (0, 1])."""
+    if (a_entries.rows, a_entries.cols) != (box.chart.a_matrix.rows, box.chart.a_matrix.cols):
+        raise ValueError("chart matrix shape differs from the box's")
     if any(not 0 < e <= 1 for row in a_entries.entries for e in row):
         raise ValueError("box entries must lie in (0, 1]")
     return chart_to_point(chart(box.chart.complement_basis, a_entries))

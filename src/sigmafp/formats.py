@@ -120,8 +120,8 @@ def serialize_problem(p: ProductSpace) -> str:
 def parse_subspace(text: str, ambient_dim: int | None = None) -> Subspace:
     """Parse a subspace file: {"basis": [[rational-string, ...], ...]}.
 
-    Rows are canonicalised to RREF, so any spanning set is accepted.  An
-    empty basis needs an explicit "ambient_dim" entry (or argument).
+    Any spanning set of rows is accepted.  An empty basis needs an explicit
+    "ambient_dim" entry (or argument).
     """
     data = _loads(text)
     _expect(isinstance(data, dict), "top level must be an object")

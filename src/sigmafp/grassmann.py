@@ -78,8 +78,8 @@ def chart(complement_basis: Matrix, a_matrix: Matrix) -> Chart:
 def chart_to_point(c: Chart) -> SubspacePoint:
     """Row space of [I | A] rewritten in standard coordinates.
 
-    Row i is basis[i] + sum_j A[i][j] * basis[N-k+j]; the result is
-    RREF-canonicalised, so distinct A matrices give distinct points.
+    Row i is basis[i] + sum_j A[i][j] * basis[N-k+j]; points compare by
+    their canonical RREF, so distinct A matrices give distinct points.
     """
     n = c.complement_basis.rows
     k = c.a_matrix.cols

@@ -8,8 +8,8 @@ equal) and is computed only when read; rank questions are answered on the
 integer rows, whatever basis they form.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
-package: it is the inner step of `_eliminate`, the kernel behind `rref`,
-`det` and `inverse`, and of the simplex tableau in `lp`.  It is
+package: it is the inner step of `_eliminate`, behind `rref`, `det`,
+`inverse` and `kernel_basis`, and of the simplex tableau in `lp`.  It is
 fraction-free (Edmonds 1967, Bareiss 1968): its rows hold integers over one
 shared denominator d, and a pivot on the entry p of row r turns every other
 row i into (p*T_i - T_ic*T_r) // d, which Sylvester's identity makes exact,
@@ -17,7 +17,8 @@ and makes p the new denominator.  `_eliminate` runs it from d = 1 on the
 rows scaled to integers by `integer_rows`.  `Fraction`s are built only at
 the edges: the entries T/d of the RREF and of the inverse (the right half
 of the reduced `[M | I]`), and the determinant, +/-d over the product of
-the row scales.  `vec_dot` skips every pair that holds a zero.
+the row scales.  `kernel_basis` reads integer vectors off the reduced
+rows.  `vec_dot` skips every pair that holds a zero.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
 meet only in 0?", is decided modulo the prime P = 2**61 - 1 first, on the
@@ -418,35 +419,28 @@ class Subspace:
         return all(a == 0 for a in residue)
 
 
-def _kernel_vectors(reduced: Matrix, pivots: Sequence[int]) -> list[list[Fraction]]:
-    """A basis of {x : reduced x = 0}, one vector per free column, from an RREF."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(reduced.cols) if c not in pivot_set]
-    vectors = []
-    for c in free_cols:
-        v = [ZERO] * reduced.cols
-        v[c] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][c]
-        vectors.append(v)
-    return vectors
-
-
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} as a Subspace; dim = cols - rank."""
-    return Subspace.span(_kernel_vectors(*rref(m)), ambient_dim=m.cols)
+    """Right kernel {x : m x = 0}; dim = cols - rank.  Each free column c of
+    the reduced rows work/d gives d at c and -work[r][c] at the r-th pivot."""
+    work = list(integer_rows(m.entries))
+    pivots, d, _ = _eliminate(work, m.cols)
+    vectors = []
+    for c in [j for j in range(m.cols) if j not in pivots]:
+        v = [0] * m.cols
+        v[c] = d
+        for r, p in enumerate(pivots):
+            v[p] = -work[r][c]
+        vectors.append(v)
+    return Subspace.of_integer_rows(m.cols, vectors)
 
 
 def constraint_rows(s: Subspace) -> Matrix:
     """A matrix K with null(K) = s: the linear equations cutting out s.
 
-    K is the RREF of the kernel of s's RREF basis; that basis is already
-    reduced, so its kernel is read off it directly.
+    K is the canonical RREF of the kernel of s's integer rows; the zero
+    subspace gives the identity.
     """
-    if not s.dim:
-        return Matrix.identity(s.ambient_dim)
-    vectors = tuple(map(tuple, _kernel_vectors(s.basis, s.pivot_columns)))
-    return rref(Matrix(len(vectors), s.ambient_dim, vectors))[0]
+    return kernel_basis(Matrix(s.dim, s.ambient_dim, s._integers)).basis
 
 
 def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:

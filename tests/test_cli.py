@@ -174,10 +174,10 @@ def test_construct_rho_output(f1, capsys):
 def test_construct_rho_decides_each_factor_tame_once_on_f1(f1, capsys, solved_lps):
     code, _, _ = run(capsys, ["construct-rho", f1])
     assert code == 0
-    # one tameness LP per factor, shared by validation and construct_rho; the
-    # sign scan's line LP for rho = -1, which is also its post-check; one
-    # slice LP for the point's check-fp
-    assert len(solved_lps) == 4
+    # tameness, decided once per factor, and the sign scan's line test for
+    # rho = -1 (also its post-check) all meet independent generators and
+    # solve no LP; one slice LP decides the point's check-fp
+    assert len(solved_lps) == 1
 
 
 def test_construct_rho_names_no_witness_on_f4(tmp_path, capsys, monkeypatch):
@@ -320,8 +320,9 @@ def test_check_fp_solves_one_slice_lp_on_f1(f1, tmp_path, capsys, solved_lps):
     code, out, _ = run(capsys, ["check-fp", f1, "--subspace", sub])
     assert code == 0
     assert "check-fp [Lemma: Γ ∩ S° = {0}] → finitely presented" in out
-    # two tameness LPs (one per factor) and one slice LP
-    assert len(solved_lps) == 3
+    # each factor's single generator settles its tameness with no LP; one
+    # slice LP decides the point
+    assert len(solved_lps) == 1
 
 
 def test_one_parser_serves_successive_calls(f1, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import union_meets_subspace_oracle
+from oracles import cones_meet_oracle, union_meets_subspace_oracle
 from sigmafp import cones, lp
 from sigmafp.cones import (
     canonical_ray,
@@ -21,7 +21,16 @@ from sigmafp.cones import (
     union_is_tame,
     union_meets_subspace,
 )
-from sigmafp.linalg import Subspace, constraint_rows, subspaces_intersect_trivially
+from sigmafp.formats import load_fixture
+from sigmafp.grassmann import sample_point
+from sigmafp.linalg import (
+    Matrix,
+    Subspace,
+    constraint_rows,
+    kernel_basis,
+    rref,
+    subspaces_intersect_trivially,
+)
 from sigmafp.product import build_gamma
 
 F = Fraction
@@ -152,19 +161,35 @@ def test_union_is_tame():
     assert union_is_tame(cone_union([], ambient_dim=2))
 
 
-def test_union_is_tame_solves_one_lp_per_piece_pair(solved_lps):
+def test_union_is_tame_solves_one_lp_per_dependent_piece_pair(solved_lps):
     u = cone_union(
         [cone([(1, 0, 0), (0, 1, 0)]), cone([(0, 0, 1)]), cone([(1, 1, 1)]), cone([(2, 1, 0)])]
     )
     assert union_is_tame(u)
-    m = len(u.pieces)
-    assert len(solved_lps) == m * (m + 1) // 2
+    # of the 10 unordered pairs, only {(1,0,0),(0,1,0)} + {(2,1,0)} has
+    # dependent generators; every other pair is settled by its rank
+    assert len(solved_lps) == 1
 
 
 def test_union_dim():
     assert union_dim(cone_union([cone([(1, 0)]), cone([(0, 1)])])) == 1
     assert union_dim(cone_union([cone([(1, 0), (0, 1)])])) == 2
     assert union_dim(cone_union([], ambient_dim=2)) == 0
+
+
+def test_k_costs_one_rref_and_independent_generators_no_lp(exact_rrefs, solved_lps):
+    s = sample_point(load_fixture("f4"), 2, seed=3, index=0).subspace
+    k = constraint_rows(s)
+    # the kernel's canonical RREF is the only one built; S° needs none
+    assert len(exact_rrefs) == 1
+    assert k.rows == s.ambient_dim - s.dim and rref(k)[0] == k
+    assert kernel_basis(k) == s
+    assert constraint_rows(Subspace.zero(3)) == Matrix.identity(3)
+    assert not cone_contains_line(cone([(1, 0, 0), (1, 1, 0), (0, -1, 2)]))
+    assert not cone_contains_line(cone([], ambient_dim=2))
+    assert solved_lps == []
+    assert cone_contains_line(cone([(1, 0), (-1, 1), (0, -1)]))
+    assert len(solved_lps) == 1
 
 
 def test_piece_with_line_makes_union_non_tame():
@@ -281,6 +306,7 @@ def test_cone_sum_contains_pairwise_sums(pair):
     for x in a.generators[:2]:
         for y in b.generators[:2]:
             assert cone_contains(s, tuple(p + q for p, q in zip(x, y)))
+    assert cone_contains_line(s) == cones_meet_oracle(s, cone_neg(s))
 
 
 @st.composite

@@ -455,6 +455,13 @@ def test_box_point_validates_range():
         box_point(box, Matrix.from_rows([[0]]))
     with pytest.raises(ValueError):
         box_point(box, Matrix.from_rows([[2]]))
+    # f4 at k = 2 has a 2x2 chart; a 3x1 matrix would give a point with k = 1
+    p4 = load_fixture("f4")
+    box4 = construct_nonfp_box(p4, build_gamma(assemble_sigma(p4)), 2)
+    assert (box4.chart.a_matrix.rows, box4.chart.a_matrix.cols) == (2, 2)
+    with pytest.raises(ValueError):
+        box_point(box4, Matrix.from_rows([[1], [1], [1]]))
+    assert box_point(box4, Matrix.from_rows([[1, 1], [1, 1]])).k == 2
 
 
 # --- measure experiment ------------------------------------------------------

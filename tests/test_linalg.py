@@ -108,6 +108,8 @@ def test_rref_idempotent(m):
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).dim == m.cols
+    zero = (0,) * m.rows
+    assert all(m.mul_vec(v) == zero for v in kernel_basis(m).basis.entries)
 
 
 @given(matrices(max_dim=3), st.randoms(use_true_random=False))

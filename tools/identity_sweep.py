@@ -13,6 +13,10 @@ then one library call per seeded random LP: ``lp.solve`` on 1000 small LPs
 with "<=", ">=" and "=" rows, free variables and an objective under max or
 min, or none, whose outcomes are optimal, unbounded, infeasible or
 feasible.  CLI calls seldom reach phase 2 or an unbounded ray; these do.
+Then one library call per seeded random cone union: 500 unions in R^2 to
+R^4, each of 1 to 3 pieces with 1 to 4 nonzero integer generators with
+entries in [-2, 2], recording ``union_is_tame`` and ``cone_contains_line``
+of each piece.  Every cli-mix problem is tame; many of these are not.
 Each checkout's ``src/`` is imported by its own subprocess, which runs
 ``sigmafp.cli.main`` in-process on every CLI call and records the exit
 code, stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.
@@ -43,6 +47,8 @@ MEASURE_SEED = 42
 MEASURE_SAMPLES = 300
 LP_SOLVE = "lp.solve"
 LP_COUNT = 1000
+UNION_TAME = "union_is_tame"
+UNION_COUNT = 500
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+')
 
 
@@ -73,9 +79,10 @@ def measure_calls() -> list[list[str]]:
     ]
 
 
-def lp_calls() -> list[list[str]]:
-    """One library call per seeded LP: its name and seed."""
-    return [[LP_SOLVE, str(seed)] for seed in range(LP_COUNT)]
+def library_calls() -> list[list[str]]:
+    """One library call per seeded LP, then per seeded union: its name and seed."""
+    return ([[LP_SOLVE, str(seed)] for seed in range(LP_COUNT)]
+            + [[UNION_TAME, str(seed)] for seed in range(UNION_COUNT)])
 
 
 def seeded_lp(seed: int):
@@ -101,14 +108,41 @@ def seeded_lp(seed: int):
     )
 
 
+def seeded_union(seed: int):
+    """A cone union with small integer generators, built from `seed` alone."""
+    from sigmafp.cones import cone, cone_union
+
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 4)
+
+    def ray():
+        while True:
+            v = [rnd.randint(-2, 2) for _ in range(n)]
+            if any(v):
+                return v
+
+    pieces = [cone([ray() for _ in range(rnd.randint(1, 4))], ambient_dim=n)
+              for _ in range(rnd.randint(1, 3))]
+    return cone_union(pieces, ambient_dim=n)
+
+
+def tameness(seed: int) -> tuple:
+    """The union's tameness verdict, then whether each piece contains a line."""
+    from sigmafp.cones import cone_contains_line, union_is_tame
+
+    u = seeded_union(seed)
+    return union_is_tame(u), tuple(cone_contains_line(p) for p in u.pieces)
+
+
 def worker(calls_file: str) -> None:
     """Run every call on the sigmafp that PYTHONPATH names; one JSON line each."""
     import sigmafp.cli
     from sigmafp import lp
 
+    library = {LP_SOLVE: lambda seed: lp.solve(seeded_lp(seed)), UNION_TAME: tameness}
     for argv in json.loads(Path(calls_file).read_text()):
-        if argv[0] == LP_SOLVE:
-            print(json.dumps([argv, 0, repr(lp.solve(seeded_lp(int(argv[1])))), ""]))
+        if argv[0] in library:
+            print(json.dumps([argv, 0, repr(library[argv[0]](int(argv[1]))), ""]))
             continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -141,7 +175,7 @@ def main(argv=None) -> int:
             parser.error(f"no src/sigmafp/cli.py under {tree}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        calls = call_lists(tmp, args.fixtures_only) + lp_calls()
+        calls = call_lists(tmp, args.fixtures_only) + library_calls()
         calls_file = tmp / "calls.json"
         calls_file.write_text(json.dumps(calls))
         procs = [run_tree(src, calls_file, tmp / f"{name}.jsonl")
