@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lp
@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     Vector,
     constraint_rows,
+    integer_rows,
     is_zero_vector,
     rank,
     subspaces_intersect_trivially,
@@ -57,8 +58,7 @@ def canonical_ray(v) -> Vector:
     w = vector(v)
     if is_zero_vector(w):
         raise ValueError("zero vector is not a ray")
-    denom = lcm(*(a.denominator for a in w))
-    ints = [int(a * denom) for a in w]
+    ints = integer_rows((w,))[0]
     g = gcd(*ints)
     return tuple(Fraction(a, g) for a in ints)
 

@@ -372,8 +372,9 @@ def construct_rho(p: ProductSpace) -> RhoConstruction:
     """Build rho with sigma_1 cap rho(sigma_2) = {0}, verified exactly.
 
     Rank 1 is a sign scan (-1, then +1); rank 2 runs the gap scan above;
-    higher ranks are handled only for identical cone data (rho = -identity,
-    where the post-check is exactly tameness) and refused otherwise.
+    higher ranks are handled only for identical cone data, the same pieces
+    in any order (rho = -identity, where the post-check is exactly
+    tameness), and refused otherwise.
     """
     if len(p.factors) != 2:
         raise ValueError("exactly two factors are required")
@@ -420,7 +421,7 @@ def construct_rho(p: ProductSpace) -> RhoConstruction:
         scale = Matrix.from_rows([[lam, ZERO], [ZERO, 1 / lam]])
         rho = basis.mul(scale).mul(basis_inv)
         return finish(rho, "gap-scan", v1=v1, v2=v2, eps1=eps1, eps2=eps2, lam=lam)
-    if s1 == s2:
+    if set(s1.pieces) == set(s2.pieces):
         neg_identity = Matrix.from_rows(
             [[-ONE if i == j else ZERO for j in range(m)] for i in range(m)]
         )

@@ -2,10 +2,12 @@
 
 Every coordinate is a `fractions.Fraction`, so ranks, kernels, and equality
 tests are exact.  A subspace is kept on linearly independent integer rows
-(rows scaled by the lcm of their denominators).  Its reduced row-echelon
-basis is canonical (two subspaces are equal iff those bases are entry-wise
-equal) and is computed only when read; rank questions are answered on the
-integer rows, whatever basis they form.
+(rows scaled by the lcm of their denominators), and there is one way to
+build one, `Subspace.of_integer_rows`.  Its dimension, membership and every
+rank question are answered on those rows, whatever basis they form.  Its
+reduced row-echelon basis is canonical (two subspaces are equal iff those
+bases are entry-wise equal), and only a read of `basis` or `pivot_columns`
+builds it in `Fraction`s.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
 package: it is the inner step of `_eliminate`, behind `rref`, `det`,
@@ -18,7 +20,8 @@ rows scaled to integers by `integer_rows`.  `Fraction`s are built only at
 the edges: the entries T/d of the RREF and of the inverse (the right half
 of the reduced `[M | I]`), and the determinant, +/-d over the product of
 the row scales.  `kernel_basis` reads integer vectors off the reduced
-rows.  `vec_dot` skips every pair that holds a zero.
+rows, and a `Subspace` spanned by dependent rows keeps the nonzero reduced
+rows themselves.  `vec_dot` skips every pair that holds a zero.
 
 Full row rank, on all columns or on a subset, and with it "do two subspaces
 meet only in 0?", is decided modulo the prime P = 2**61 - 1 first, on the
@@ -27,7 +30,7 @@ some maximal minor of the integer rows is nonzero mod P, hence a nonzero
 integer, so the rows are independent over Q.  Only a rank deficient mod P
 falls back to the exact `rank` of the integer rows.  A verdict therefore
 never depends on P, only the time taken to reach it.  A `Subspace` keeps
-its residue rows once computed.
+its residue rows from the moment it is built.
 """
 
 from __future__ import annotations
@@ -291,17 +294,13 @@ def submatrix_columns(m: Matrix, columns: Sequence[int]) -> Matrix:
 
 class Subspace:
     """A rational subspace, kept on linearly independent integer rows and
-    their residues mod P.
+    their residues mod P, which `of_integer_rows` builds for every instance.
 
-    `basis` and `pivot_columns` are the canonical reduced row-echelon form,
-    computed from the integer rows the first time either is read.  Equality,
-    hash, repr and pickles go through that form, so two subspaces are equal
-    iff their RREF bases are entry-wise equal, whatever rows built them.
-
-    `span` and `of_integer_rows` keep rows independent mod P as they are;
-    rows dependent mod P are reduced exactly at once.  A subspace built from
-    its RREF basis, `Subspace(ambient_dim, basis, pivot_columns)`, derives
-    its integer rows from that basis when a rank question first asks.
+    `dim`, `contains` and every rank question are answered on those rows.
+    `basis` and `pivot_columns` are the canonical reduced row-echelon form;
+    only reading one of them builds it, in `Fraction`s.  Equality, hash,
+    repr and pickles go through that form, so two subspaces are equal iff
+    their RREF bases are entry-wise equal, whatever rows built them.
 
     The zero subspace keeps an explicit ambient dimension and no rows,
     avoiding 0xN matrix ambiguity.
@@ -312,11 +311,8 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivot_columns: tuple[int, ...]):
         """The subspace whose RREF basis and pivot columns these are (not checked)."""
-        vars(self).update(
-            ambient_dim=ambient_dim,
-            dim=basis.rows,
-            _rref=(basis, pivot_columns),
-        )
+        vars(self).update(vars(Subspace.of_integer_rows(ambient_dim, integer_rows(basis.entries))))
+        vars(self)["_rref"] = (basis, pivot_columns)
 
     @staticmethod
     def span(vectors: Sequence[Iterable], ambient_dim: int | None = None) -> "Subspace":
@@ -337,15 +333,19 @@ class Subspace:
         """The span of integer rows.
 
         Rows independent mod P are independent over Q and are kept as they
-        are, with no `Fraction` built.  Rows dependent mod P are reduced
-        exactly at once, and the subspace keeps their RREF basis.
+        are.  Rows dependent mod P are reduced by `_eliminate`, and the
+        subspace keeps the nonzero reduced rows: integer rows, independent
+        over Q, with the same span.  No `Fraction` is built either way.
         """
         integers = tuple(tuple(row) for row in rows)
         if any(len(row) != ambient_dim for row in integers):
             raise ValueError("ambient dimension mismatch")
         residues = tuple(tuple(a % P for a in row) for row in integers)
         if not _independent_mod_p(residues):
-            return Subspace(ambient_dim, *rref(Matrix(len(integers), ambient_dim, integers)))
+            work = list(integers)
+            r = len(_eliminate(work, ambient_dim)[0])
+            integers = tuple(tuple(row) for row in work[:r])
+            residues = tuple(tuple(a % P for a in row) for row in integers)
         s = object.__new__(Subspace)
         vars(s).update(
             ambient_dim=ambient_dim, dim=len(integers), _integers=integers, _residues=residues
@@ -359,15 +359,6 @@ class Subspace:
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
-
-    @cached_property
-    def _integers(self) -> tuple[tuple[int, ...], ...]:
-        # Reached only by instances built from their RREF basis.
-        return integer_rows(self.basis.entries)
-
-    @cached_property
-    def _residues(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(a % P for a in row) for row in self._integers)
 
     @cached_property
     def _rref(self) -> tuple[Matrix, tuple[int, ...]]:
@@ -409,14 +400,10 @@ class Subspace:
         return Subspace, (self.ambient_dim, self.basis, self.pivot_columns)
 
     def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        residue = list(v)
-        for row, p in zip(self.basis.entries, self.pivot_columns):
-            c = residue[p]
-            if c != 0:
-                residue = [a - c * b for a, b in zip(residue, row)]
-        return all(a == 0 for a in residue)
+        """True iff v lies in the subspace: 0 does, and a nonzero v does iff
+        its line meets the subspace outside 0."""
+        line = Subspace.span([v], ambient_dim=self.ambient_dim)
+        return line.dim == 0 or not subspaces_intersect_trivially(self, line)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -155,6 +155,17 @@ def test_gamma_output(f1, capsys):
     assert "dim 2, 3 pieces" in out
 
 
+def test_gamma_builds_no_rref_on_f4(tmp_path, capsys, exact_rrefs):
+    # f4's Γ has pieces with dependent generators; their spans, and so the
+    # piece dimensions, are read off integer rows with no RREF basis built
+    cones._cone_span.cache_clear()
+    path = tmp_path / "f4.json"
+    path.write_text(fixture_text("f4"))
+    code, out, _ = run(capsys, ["gamma", str(path)])
+    assert code == 0 and out.startswith("gamma [Γ = Σ^c + Σ^c] → dim 3, 6 pieces\n")
+    assert exact_rrefs == []
+
+
 def test_tame_and_validate(f1, capsys):
     code, out, _ = run(capsys, ["tame", f1])
     assert code == 0

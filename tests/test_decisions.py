@@ -364,6 +364,16 @@ def test_rho_equal_data_rank_three_negated_identity():
     assert r.verified
     gamma = build_gamma(assemble_sigma(p))
     assert is_finitely_presented(r.point, gamma, p).finitely_presented
+    # the same pieces listed in another order are identical cone data
+    a = cone_union([cone([(1, 0, 0)]), cone([(0, 1, 0)])], ambient_dim=3)
+    b = cone_union([cone([(0, 1, 0)]), cone([(1, 0, 0)])], ambient_dim=3)
+    for q in (
+        product_space([factor_spec("a", 3, a), factor_spec("b", 3, b)]),
+        product_space([factor_spec("a", 3, a), factor_spec("b", 3, a)]),
+    ):
+        r = construct_rho(q)
+        assert r.method == "negated-identity" and r.verified
+        assert r.rho == Matrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
 
 def test_rho_refusals():

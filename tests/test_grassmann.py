@@ -279,12 +279,13 @@ def patched_draws(monkeypatch, draws):
 
 def test_draw_dependent_only_mod_p_takes_the_exact_path(monkeypatch, exact_rrefs):
     # (1, 0, 0) and (0, P, 0) are (1, 0, 0) and 0 mod P but independent over
-    # Q: the point is reduced exactly, keeps its dimension and is not redrawn.
+    # Q: the point is reduced exactly on integers, with no RREF, keeps its
+    # dimension and is not redrawn.
     p = three_line_factors()
     attempts = patched_draws(monkeypatch, [[[1, 0, 0], [0, P, 0]]])
     pt = sample_point(p, 1, seed=5, index=0)
     assert attempts == [0]
-    assert len(exact_rrefs) == 1
+    assert exact_rrefs == []
     assert pt.subspace.dim == 2
     assert pt.subspace == Subspace.span([[1, 0, 0], [0, 1, 0]])
     assert not is_virtual_subdirect(pt, p)  # it holds e_1, the first block

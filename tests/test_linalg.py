@@ -144,6 +144,9 @@ def test_subspace_contains():
     assert s.contains(vector([2, 1, 7]))
     assert not s.contains(vector([0, 0, 1]))
     assert Subspace.zero(3).contains(vector([0, 0, 0]))
+    for wrong_length in (vector([1, 0]), vector([0, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            s.contains(wrong_length)
 
 
 def test_det_and_inverse():
@@ -225,10 +228,15 @@ def test_intersect_trivially_matches_fraction_rank_oracle(pair):
     expected = rank_oracle(u_rows + v_rows) == rank_oracle(u_rows) + rank_oracle(v_rows)
     assert subspaces_intersect_trivially(u, v) == expected
     assert subspaces_intersect_trivially(v, u) == expected
+    u_rank = rank_oracle(u_rows)
+    for row in v_rows:
+        assert u.contains(vector(row)) == (rank_oracle(u_rows + [row]) == u_rank)
     # rebuilt from the RREF basis, or unpickled: integer rows derived from the basis
     for w in (Subspace(u.ambient_dim, u.basis, u.pivot_columns), pickle.loads(pickle.dumps(u))):
         assert subspaces_intersect_trivially(w, v) == expected
         assert subspaces_intersect_trivially(v, w) == expected
+        for row in v_rows:
+            assert w.contains(vector(row)) == (rank_oracle(u_rows + [row]) == u_rank)
 
 
 P = (1 << 61) - 1
@@ -239,13 +247,13 @@ def test_full_rank_over_q_but_not_mod_p_falls_back(exact_ranks, exact_rrefs):
     assert subspaces_intersect_trivially(Subspace.span([[P, 1]]), Subspace.span([[0, 1]]))
     assert len(exact_ranks) == 1 and exact_rrefs == []
     # both rows of the plane are (0, 0, 1) mod p, so the span is reduced
-    # exactly; det of the stack is 1 - 2/p
+    # exactly, on integers and with no RREF; det of the stack is 1 - 2/p
     plane = Subspace.span([[P, 0, 1], [0, P, 1]])
-    assert plane.dim == 2 and len(exact_rrefs) == 1
+    assert plane.dim == 2 and exact_rrefs == []
     assert subspaces_intersect_trivially(plane, Subspace.span([[1, 1, 1]]))
     assert len(exact_ranks) == 2
     assert Subspace.span([[P, 0, 1], [0, P, 1], [1, 1, 1]]).dim == 3
-    assert len(exact_rrefs) == 2 and len(exact_ranks) == 2
+    assert exact_rrefs == [] and len(exact_ranks) == 2
 
 
 def test_truly_dependent_rows_fall_back_and_stay_dependent(exact_ranks, exact_rrefs):
@@ -253,7 +261,7 @@ def test_truly_dependent_rows_fall_back_and_stay_dependent(exact_ranks, exact_rr
     assert not subspaces_intersect_trivially(line, Subspace.span([[2 * P, 2]]))
     assert len(exact_ranks) == 1 and exact_rrefs == []
     assert Subspace.span([[1, 2], [2, 4]]).dim == 1
-    assert len(exact_rrefs) == 1 and len(exact_ranks) == 1
+    assert exact_rrefs == [] and len(exact_ranks) == 1
 
 
 def test_dimension_count_and_mod_p_exits_skip_the_fallback(exact_ranks):
@@ -286,14 +294,14 @@ def test_cached_residues_are_invisible():
     assert lazy.basis == fresh.basis and lazy.pivot_columns == fresh.pivot_columns
     assert "_rref" in vars(lazy) and "_rref" in vars(fresh)
     clone = pickle.loads(pickle.dumps(used))
-    assert "_integers" not in vars(clone)
+    # built from its basis, the clone holds that basis's integer rows at once
+    assert vars(clone)["_integers"] == ((50, 0, 1), (0, 50, -21))
     for s in (used, clone, lazy):
         assert s == fresh
         assert hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
         assert pickle.dumps(s) == pickle.dumps(Subspace.span(rows))
         assert pickle.loads(pickle.dumps(s)) == fresh
-    # the clone derives its integer rows from its basis when first asked
     assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
     assert clone._integers == ((50, 0, 1), (0, 50, -21))
     # workers inherit piece spans whose residues the serial run kept
@@ -396,7 +404,7 @@ def test_integer_rows_dependent_mod_p_are_reduced_exactly(exact_ranks):
     line = Subspace.of_integer_rows(2, [[1, 2], [2, 4]])
     assert line.dim == 1 and line == Subspace.span([[1, 2]])
     assert not subspaces_intersect_trivially(line, Subspace.of_integer_rows(2, [[-3, -6]]))
-    # both constructions reduce with rref, not rank; only the stacked rows
+    # both constructions reduce with `_eliminate`, not rank; only the stacked rows
     # (1, 2), (-3, -6), dependent mod P as over Q, reach the exact rank
     assert [m.entries for m in exact_ranks] == [((1, 2), (-3, -6))]
     with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ Run from anywhere:
 
 The calls are the CLI calls of ``tools/identity_sweep.py`` (the cli-mix
 calls of seeds 1 and 2, then ``measure --seed 42`` on the five ROADMAP
-rows), without its seeded library calls (``lp.solve`` and tameness).  Each
-checkout's ``src/`` is imported by its own subprocess, which counts every
-call of ``Fraction.__new__`` (all `Fraction` arithmetic builds its result
-through it) while it runs ``sigmafp.cli.main`` in-process on each call.
+rows), without its seeded library calls (``lp.solve``, tameness and the
+subspace questions on seeded row sets).  Each checkout's ``src/`` is
+imported by its own subprocess, which counts every call of
+``Fraction.__new__`` (all `Fraction` arithmetic builds its result through
+it) while it runs ``sigmafp.cli.main`` in-process on each call.
 The counts are summed per group: ``check-fp --certify`` calls, the other
 CLI calls, and each measure row.  Unlike timings they do not depend on the
 machine or its load, so a change that only removes arithmetic shows as an

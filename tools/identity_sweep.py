@@ -17,6 +17,14 @@ Then one library call per seeded random cone union: 500 unions in R^2 to
 R^4, each of 1 to 3 pieces with 1 to 4 nonzero integer generators with
 entries in [-2, 2], recording ``union_is_tame`` and ``cone_contains_line``
 of each piece.  Every cli-mix problem is tame; many of these are not.
+Then one library call per seeded row set: 500 sets of rows in Q^2 to Q^5,
+1 to 4 rows spanning a subspace s and 1 to 3 more spanning t.  Some rows
+repeat an earlier row, some are integer combinations of earlier rows, and
+some add multiples of the prime P = 2^61 - 1 to an earlier row (or to 0),
+so that they are dependent only mod P.  Each records ``s.dim``, ``s``
+(its canonical basis), ``s.contains`` of every row, of 0 and of one more
+random row, and ``subspaces_intersect_trivially(s, t)``: rank questions
+on rows dependent mod P, which CLI calls seldom reach, take the exact path.
 Each checkout's ``src/`` is imported by its own subprocess, which runs
 ``sigmafp.cli.main`` in-process on every CLI call and records the exit
 code, stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.
@@ -49,6 +57,9 @@ LP_SOLVE = "lp.solve"
 LP_COUNT = 1000
 UNION_TAME = "union_is_tame"
 UNION_COUNT = 500
+SUBSPACE = "subspace"
+SUBSPACE_COUNT = 500
+P = (1 << 61) - 1
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+')
 
 
@@ -80,9 +91,10 @@ def measure_calls() -> list[list[str]]:
 
 
 def library_calls() -> list[list[str]]:
-    """One library call per seeded LP, then per seeded union: its name and seed."""
+    """One library call per seeded LP, union and row set: its name and seed."""
     return ([[LP_SOLVE, str(seed)] for seed in range(LP_COUNT)]
-            + [[UNION_TAME, str(seed)] for seed in range(UNION_COUNT)])
+            + [[UNION_TAME, str(seed)] for seed in range(UNION_COUNT)]
+            + [[SUBSPACE, str(seed)] for seed in range(SUBSPACE_COUNT)])
 
 
 def seeded_lp(seed: int):
@@ -134,12 +146,51 @@ def tameness(seed: int) -> tuple:
     return union_is_tame(u), tuple(cone_contains_line(p) for p in u.pieces)
 
 
+def seeded_rows(seed: int) -> tuple[int, list, list]:
+    """The ambient dimension n, the rows spanning s and the rows spanning t,
+    built from `seed` alone."""
+    rnd = random.Random(seed)
+    n = rnd.randint(2, 5)
+    rows: list[list] = []
+
+    def row():
+        kind = rnd.choice(["random", "repeat", "combination", "mod P"]) if rows else "random"
+        if kind == "random":
+            return [Fraction(rnd.randint(-3, 3), rnd.choice([1, 1, 2, 3])) for _ in range(n)]
+        if kind == "repeat":
+            return list(rnd.choice(rows))
+        if kind == "combination":
+            coeffs = [rnd.randint(-2, 2) for _ in rows]
+            return [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        base = rnd.choice(rows + [[0] * n])
+        return [a + P * rnd.randint(-1, 1) for a in base]
+
+    s_count = rnd.randint(1, 4)
+    for _ in range(s_count + rnd.randint(1, 3)):
+        rows.append(row())
+    return n, rows[:s_count], rows[s_count:]
+
+
+def subspace_questions(seed: int) -> tuple:
+    """s's dimension and canonical form, membership of each probe, and
+    whether s meets t only in 0."""
+    from sigmafp.linalg import Subspace, subspaces_intersect_trivially, vector
+
+    n, s_rows, t_rows = seeded_rows(seed)
+    s, t = Subspace.span(s_rows, ambient_dim=n), Subspace.span(t_rows, ambient_dim=n)
+    rnd = random.Random(-seed - 1)
+    probes = [*s_rows, *t_rows, [0] * n, [rnd.randint(-3, 3) for _ in range(n)]]
+    return (s.dim, s, tuple(s.contains(vector(v)) for v in probes),
+            subspaces_intersect_trivially(s, t))
+
+
 def worker(calls_file: str) -> None:
     """Run every call on the sigmafp that PYTHONPATH names; one JSON line each."""
     import sigmafp.cli
     from sigmafp import lp
 
-    library = {LP_SOLVE: lambda seed: lp.solve(seeded_lp(seed)), UNION_TAME: tameness}
+    library = {LP_SOLVE: lambda seed: lp.solve(seeded_lp(seed)), UNION_TAME: tameness,
+               SUBSPACE: subspace_questions}
     for argv in json.loads(Path(calls_file).read_text()):
         if argv[0] in library:
             print(json.dumps([argv, 0, repr(library[argv[0]](int(argv[1]))), ""]))
