@@ -488,8 +488,8 @@ def construct_nonfp_witness(p: ProductSpace, k: int) -> SubspacePoint:
     if len(rows) != n - k:
         raise RuntimeError("internal error: basis extension did not complete")
     pt = SubspacePoint(Subspace.span(rows, ambient_dim=n), k)
-    gamma = build_gamma(assemble_sigma(p))
-    if is_finitely_presented(pt, gamma, p).finitely_presented:  # also re-checks vsp
+    _require_vsp(pt, p)
+    if union_avoids_subspace(build_gamma(assemble_sigma(p)), pt.subspace):
         raise RuntimeError("internal error: constructed point decided FP")
     return pt
 
@@ -570,7 +570,7 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
                 break
         else:
             raise RuntimeError("internal error: box sampling kept hitting blocks")
-        if is_finitely_presented(candidate, gamma, p).finitely_presented:
+        if union_avoids_subspace(gamma, candidate.subspace):
             raise RuntimeError("internal error: box sample decided FP")
         samples.append(candidate)
     return NonFpBox(

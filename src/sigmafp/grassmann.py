@@ -10,7 +10,10 @@ basis is built only when read.  Charts follow the [I | A] row-echelon
 parametrisation of the complements of a fixed subspace.  A point is a
 virtual subdirect product iff S meets each factor block [a, b) only in 0,
 iff any basis of S restricted to the columns outside [a, b) has full row
-rank; no block subspace is built.
+rank; no block subspace is built.  A block holding no pivot of the echelon
+mod P that the draw's full-rank test built is settled by that echelon
+alone, so a generic draw, whose pivots are its first N-k columns,
+restricts its rows only for the blocks holding those columns.
 """
 
 from __future__ import annotations

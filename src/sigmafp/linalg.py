@@ -30,7 +30,13 @@ some maximal minor of the integer rows is nonzero mod P, hence a nonzero
 integer, so the rows are independent over Q.  Only a rank deficient mod P
 falls back to the exact `rank` of the integer rows.  A verdict therefore
 never depends on P, only the time taken to reach it.  A `Subspace` keeps
-its residue rows from the moment it is built.
+its residue rows, and the echelon mod P that its construction's
+independence test builds from them, from the moment it is built.  Every
+rank question reuses that echelon: two subspaces meet only in 0 if the
+lower-dimensional one's residue rows extend the other's echelon, and a
+subspace with no echelon pivot inside a coordinate block avoids the block
+with no arithmetic at all.  A subspace whose rows stay dependent mod P
+keeps no echelon and takes the exact path.
 """
 
 from __future__ import annotations
@@ -209,42 +215,37 @@ def integer_rows(rows: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _independent_mod_p(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the residue rows are linearly independent over F_P.
+def _echelon_mod_p(
+    rows: Sequence[Sequence[int]], kept: Sequence[tuple[int, Sequence[int]]] = ()
+) -> list[tuple[int, Sequence[int]]] | None:
+    """`kept` extended by the residue rows, as (pivot column, residue row)
+    pairs, or None if the rows are dependent over F_P on `kept`.
 
-    Division-free elimination: each row is reduced against the rows kept
-    before it by row <- piv*row - f*kept (mod P), which zeroes the kept row's
-    pivot column; a row that reduces to 0 is dependent.
+    `kept` is an echelon as returned here: each row is 0 before its pivot
+    column and at the pivot columns of the rows before it.  Division-free
+    elimination: each row is reduced against the kept rows in order by
+    row <- piv*row - f*kept (mod P), which zeroes the kept row's pivot
+    column; a row that reduces to 0 is dependent.  `kept` is not changed.
     """
-    kept: list[tuple[int, Sequence[int]]] = []
+    echelon = list(kept)
     for row in rows:
-        for c, other in kept:
+        for c, other in echelon:
             f = row[c]
             if f:
                 piv = other[c]
                 row = [(piv * a - f * b) % P for a, b in zip(row, other)]
         c = next((j for j, a in enumerate(row) if a), None)
         if c is None:
-            return False
-        kept.append((c, row))
-    return True
+            return None
+        echelon.append((c, row))
+    return echelon
 
 
-def _independent(
-    rows: Sequence[Sequence[int]],
-    residues: Sequence[Sequence[int]],
-    columns: Sequence[int] | None = None,
+def _exactly_independent(
+    rows: Sequence[Sequence[int]], columns: Sequence[int] | None = None
 ) -> bool:
     """True iff integer rows, restricted to `columns` (all by default), are
-    linearly independent over Q.
-
-    `residues` are the rows mod P.  Independence mod P settles it; only a
-    rank deficient mod P is re-decided by the exact `rank` of the rows.
-    """
-    if columns is not None:
-        residues = [[row[c] for c in columns] for row in residues]
-    if _independent_mod_p(residues):
-        return True
+    linearly independent over Q: the exact `rank`, for when P decides nothing."""
     m = Matrix(len(rows), len(rows[0]), tuple(rows))
     if columns is not None:
         m = submatrix_columns(m, columns)
@@ -293,10 +294,12 @@ def submatrix_columns(m: Matrix, columns: Sequence[int]) -> Matrix:
 
 
 class Subspace:
-    """A rational subspace, kept on linearly independent integer rows and
-    their residues mod P, which `of_integer_rows` builds for every instance.
+    """A rational subspace, kept on linearly independent integer rows, their
+    residues mod P and the echelon mod P of those residues (None if they
+    are dependent mod P), which `of_integer_rows` builds for every instance.
 
-    `dim`, `contains` and every rank question are answered on those rows.
+    `dim`, `contains` and every rank question are answered on those rows
+    and that echelon.
     `basis` and `pivot_columns` are the canonical reduced row-echelon form;
     only reading one of them builds it, in `Fraction`s.  Equality, hash,
     repr and pickles go through that form, so two subspaces are equal iff
@@ -335,20 +338,28 @@ class Subspace:
         Rows independent mod P are independent over Q and are kept as they
         are.  Rows dependent mod P are reduced by `_eliminate`, and the
         subspace keeps the nonzero reduced rows: integer rows, independent
-        over Q, with the same span.  No `Fraction` is built either way.
+        over Q, with the same span.  No `Fraction` is built either way.  The
+        echelon mod P that decided independence is kept as `_echelon`, None
+        if the kept rows are still dependent mod P.
         """
         integers = tuple(tuple(row) for row in rows)
         if any(len(row) != ambient_dim for row in integers):
             raise ValueError("ambient dimension mismatch")
         residues = tuple(tuple(a % P for a in row) for row in integers)
-        if not _independent_mod_p(residues):
+        echelon = _echelon_mod_p(residues)
+        if echelon is None:
             work = list(integers)
             r = len(_eliminate(work, ambient_dim)[0])
             integers = tuple(tuple(row) for row in work[:r])
             residues = tuple(tuple(a % P for a in row) for row in integers)
+            echelon = _echelon_mod_p(residues)
         s = object.__new__(Subspace)
         vars(s).update(
-            ambient_dim=ambient_dim, dim=len(integers), _integers=integers, _residues=residues
+            ambient_dim=ambient_dim,
+            dim=len(integers),
+            _integers=integers,
+            _residues=residues,
+            _echelon=echelon,
         )
         return s
 
@@ -434,10 +445,11 @@ def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
     """True iff u and v meet only in 0, i.e. their sum is direct.
 
     Three exits: dim u + dim v > N means they meet, by the dimension count;
-    the stacked integer rows independent mod P (from the residues each
-    subspace keeps) means they do not; otherwise the exact `rank` of the
-    stacked rows decides.  Independence mod P implies independence over Q,
-    so the answer never depends on P.
+    the residue rows of the lower-dimensional subspace (u on a tie)
+    reducing to an independent extension of the other's echelon mod P
+    means they do not; otherwise the exact `rank` of the stacked rows
+    decides.  Independence mod P implies independence over Q, so the answer
+    never depends on P.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -445,13 +457,30 @@ def subspaces_intersect_trivially(u: Subspace, v: Subspace) -> bool:
         return True
     if u.dim + v.dim > u.ambient_dim:
         return False
-    return _independent(u._integers + v._integers, u._residues + v._residues)
+    low, high = (u, v) if u.dim <= v.dim else (v, u)
+    if high._echelon is not None and _echelon_mod_p(low._residues, high._echelon) is not None:
+        return True
+    return _exactly_independent(u._integers + v._integers)
 
 
 def avoids_block(s: Subspace, start: int, stop: int) -> bool:
     """True iff s meets the coordinate block spanned by e_start, ...,
     e_(stop-1) only in 0, i.e. s's integer rows, restricted to the columns
     outside [start, stop), are independent.  Any basis of s answers alike,
-    so no canonical basis is needed."""
+    so no canonical basis is needed.
+
+    With no pivot of s's echelon mod P inside the block, the echelon's
+    pivot columns, all kept, hold a triangular minor with a nonzero
+    diagonal: s avoids the block with no arithmetic.  Otherwise the residue
+    rows are restricted and reduced, and only a rank deficient mod P falls
+    back to the exact `rank`.
+    """
+    echelon = s._echelon
+    if echelon is not None and not any(start <= c < stop for c, _ in echelon):
+        return True
     outside = [*range(start), *range(stop, s.ambient_dim)]
-    return _independent(s._integers, s._residues, outside)
+    if echelon is not None:
+        restricted = [[row[c] for c in outside] for row in s._residues]
+        if _echelon_mod_p(restricted) is not None:
+            return True
+    return _exactly_independent(s._integers, outside)

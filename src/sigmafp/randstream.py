@@ -12,6 +12,7 @@ import hashlib
 import struct
 
 _MASK64 = (1 << 64) - 1
+_WORDS = struct.Struct(">8Q")
 
 
 class CounterStream:
@@ -21,21 +22,21 @@ class CounterStream:
         self._key = struct.pack(">Q", seed & _MASK64)
         self._label = b"".join(struct.pack(">Q", s & _MASK64) for s in substream)
         self._block = 0
-        self._buffer = b""
+        self._words: list[int] = []
 
     def _refill(self) -> None:
         h = hashlib.blake2b(
             self._label + struct.pack(">Q", self._block), key=self._key, digest_size=64
         )
-        self._buffer = h.digest()
+        # The digest's eight big-endian words, last first, so `_word` pops
+        # them in order.
+        self._words = list(_WORDS.unpack(h.digest()))[::-1]
         self._block += 1
 
     def _word(self) -> int:
-        if len(self._buffer) < 8:
+        if not self._words:
             self._refill()
-        w = int.from_bytes(self._buffer[:8], "big")
-        self._buffer = self._buffer[8:]
-        return w
+        return self._words.pop()
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Unbiased uniform draw from the inclusive range [lo, hi]."""

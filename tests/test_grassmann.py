@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from oracles import rank_oracle
 from sigmafp import cones, grassmann, linalg
 from sigmafp.cones import cone, cone_union
 from sigmafp.decisions import run_measure_experiment
-from sigmafp.formats import load_fixture
+from sigmafp.formats import load_fixture, serialize_report
 from sigmafp.grassmann import (
     SubspacePoint,
     chart,
@@ -22,6 +23,7 @@ from sigmafp.grassmann import (
 )
 from sigmafp.linalg import Matrix, Subspace
 from sigmafp.product import factor_spec, product_space
+from sigmafp.randstream import CounterStream
 
 F = Fraction
 
@@ -321,3 +323,68 @@ def test_measure_on_f2_builds_no_rref(exact_rrefs):
     report = run_measure_experiment(load_fixture("f2"), k=4, samples=50, seed=42)
     assert report.samples == 50 and report.vsp_failures == 0
     assert exact_rrefs == []
+
+
+# --- golden values: a draw depends on its seed and substream labels alone ---
+
+
+def test_counter_stream_golden_draws():
+    # The first 20 grid numerators of two fixed keys.
+    zero = CounterStream(0)
+    assert [zero.uniform_int(-(1 << 20), 1 << 20) for _ in range(20)] == [
+        689648, 117171, -906529, 523930, 797096, 772913, 778963, 697340, -494602, -828561,
+        -1030699, -420275, 120124, -358021, 80258, 643822, 590604, -886135, -451837, 830071,
+    ]
+    keyed = CounterStream(42, 7, 3)
+    assert [keyed.uniform_int(-(1 << 20), 1 << 20) for _ in range(20)] == [
+        -721196, 11203, -432260, 156351, 564399, 445996, 379076, 450890, -227748, 88559,
+        759660, -396166, 981882, -291289, 116054, 478467, -939252, 373566, -989448, -282317,
+    ]
+
+
+def test_counter_stream_golden_draws_with_rejections():
+    # A span of 2**63 + 2**62 + 1 rejects every word at or above it, about a
+    # quarter of them; the full 64-bit range rejects none and so reads the
+    # raw words.
+    lo, hi = -(1 << 62), 1 << 63
+    span = hi - lo + 1
+    wide = CounterStream(5, 1)
+    draws = [wide.uniform_int(lo, hi) for _ in range(12)]
+    assert draws == [
+        5956944706053208736, 4610321308979033071, -1885292317761105411, 6009407693009854711,
+        3315679458947004541, -2542950608850465439, 829531736215637383, 64041773199331976,
+        1474243607924130399, 5719366467441833001, -2536668946723212924, 4628399451638889446,
+    ]
+    raw = CounterStream(5, 1)
+    words = [raw.uniform_int(0, (1 << 64) - 1) for _ in range(24)]
+    assert [lo + w for w in words if w < span][:12] == draws
+    consumed = words.index(draws[-1] - lo) + 1
+    assert consumed > 12  # some words were rejected
+
+
+def test_sample_point_golden_basis():
+    pt = sample_point(load_fixture("f2"), 4, seed=42, index=3)
+    assert pt.subspace.pivot_columns == (0, 1)
+    assert pt.subspace.basis == Matrix.from_rows([
+        [1, 0, F(-218460140444, 104218781159), F(145530890627, 312656343477),
+         F(-138515864550, 104218781159), F(-820873752563, 312656343477)],
+        [0, 1, F(298835896584, 104218781159), F(-110245379425, 104218781159),
+         F(42134452397, 104218781159), F(239531444950, 104218781159)],
+    ])
+
+
+def test_measure_report_golden_bytes():
+    report = run_measure_experiment(load_fixture("f1"), k=1, samples=40, seed=7)
+    text = serialize_report(dataclasses.replace(report, elapsed_ms=0))
+    assert text == (
+        '{\n'
+        '  "elapsed_ms": 0,\n'
+        '  "gamma_dim": 2,\n'
+        '  "k": 1,\n'
+        '  "nonfp_count": 25,\n'
+        '  "samples": 40,\n'
+        '  "seed": 7,\n'
+        '  "theorem_a_applicable": false,\n'
+        '  "vsp_failures": 0\n'
+        '}\n'
+    )

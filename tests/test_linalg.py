@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import rank_oracle
+from sigmafp import linalg
 from sigmafp.decisions import run_measure_experiment
 from sigmafp.formats import load_fixture
 from sigmafp.linalg import (
     Matrix,
     Subspace,
+    avoids_block,
     det,
     inverse,
     kernel_basis,
@@ -284,6 +286,7 @@ def test_cached_residues_are_invisible():
     # kept on its rows scaled to integers; no RREF is built before a read
     assert used._integers == ((21, 1, 0), (5, 5, -2))
     assert "_residues" in vars(used) and "_rref" not in vars(used)
+    assert [c for c, _ in used._echelon] == [0, 1]
     assert not hasattr(used, "_rows")
     fresh = Subspace.span(rows)
     assert "_rref" not in vars(fresh)
@@ -304,11 +307,91 @@ def test_cached_residues_are_invisible():
         assert pickle.loads(pickle.dumps(s)) == fresh
     assert subspaces_intersect_trivially(clone, Subspace.span([[0, 0, 1]]))
     assert clone._integers == ((50, 0, 1), (0, 50, -21))
+    # each keeps the echelon of its own rows, which nothing observable shows
+    assert len({repr(s._echelon) for s in (used, clone, lazy)}) == 3
+    # the plane x1 + x2 = P x3: on (P, 0, 1), (0, P, 1) the rows stay
+    # dependent mod P after the exact reduction and keep no echelon; on
+    # (1, -1, 0), (P, 0, 1) they are independent mod P
+    no_echelon = Subspace.span([[P, 0, 1], [0, P, 1]])
+    echelon = Subspace.span([[1, -1, 0], [P, 0, 1]])
+    assert no_echelon._echelon is None and echelon._echelon is not None
+    assert no_echelon == echelon and hash(no_echelon) == hash(echelon)
+    assert repr(no_echelon) == repr(echelon)
+    assert pickle.dumps(no_echelon) == pickle.dumps(echelon)
+    assert pickle.loads(pickle.dumps(no_echelon)) == echelon
     # workers inherit piece spans whose residues the serial run kept
     p = load_fixture("f2")
     serial = run_measure_experiment(p, k=4, samples=40, seed=3)
     pooled = run_measure_experiment(p, k=4, samples=40, seed=3, jobs=2)
     assert {**vars(serial), "elapsed_ms": 0} == {**vars(pooled), "elapsed_ms": 0}
+
+
+@st.composite
+def rows_with_p_shifts(draw):
+    """Integer rows in Z^n, n in 2..5, split into the rows of s and of t.
+    Besides random rows, some repeat an earlier row, some are integer
+    combinations of earlier rows and some add multiples of P to an earlier
+    row or to 0, so that many row sets are dependent only mod P."""
+    n = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["random", "repeat", "combination", "mod P"]))
+        if kind == "random" or not rows:
+            row = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+        else:
+            base = draw(st.sampled_from(rows + [[0] * n]))
+            shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            row = [a + m * P for a, m in zip(base, shifts)]
+        rows.append(row)
+    cut = draw(st.integers(1, len(rows) - 1))
+    return n, rows[:cut], rows[cut:]
+
+
+@given(rows_with_p_shifts())
+@settings(max_examples=200, deadline=None)
+def test_kept_echelon_answers_match_rank_oracle(case):
+    n, s_rows, t_rows = case
+    s, t = Subspace.of_integer_rows(n, s_rows), Subspace.of_integer_rows(n, t_rows)
+    expected = rank_oracle(s_rows + t_rows) == rank_oracle(s_rows) + rank_oracle(t_rows)
+    assert subspaces_intersect_trivially(s, t) == expected
+    assert subspaces_intersect_trivially(t, s) == expected
+    # every block [a, b), pivots of s's echelon inside it or not
+    s_rank = rank_oracle(s_rows)
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            block = [[1 if c == j else 0 for c in range(n)] for j in range(a, b)]
+            avoids = rank_oracle(s_rows + block) == s_rank + b - a
+            assert avoids_block(s, a, b) == avoids
+
+
+def test_block_without_an_echelon_pivot_takes_no_arithmetic(monkeypatch, exact_ranks):
+    reductions = []
+    real_echelon = linalg._echelon_mod_p
+
+    def counting_echelon(rows, kept=()):
+        reductions.append(rows)
+        return real_echelon(rows, kept)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", counting_echelon)
+    # (1, 0, 1), (0, P, 1) reduce mod P to pivots 0 and 2: block [1, 2)
+    # holds neither and is settled by the echelon alone; [0, 1) holds one
+    # and its restricted rows are reduced.
+    s = Subspace.of_integer_rows(3, [[1, 0, 1], [0, P, 1]])
+    assert [c for c, _ in s._echelon] == [0, 2]
+    reductions.clear()
+    assert avoids_block(s, 1, 2) and reductions == [] and exact_ranks == []
+    assert avoids_block(s, 0, 1) and len(reductions) == 1 and len(exact_ranks) == 1
+    # with no echelon, a block goes straight to the exact rank
+    plane = Subspace.span([[P, 0, 1], [0, P, 1]])
+    assert plane._echelon is None
+    reductions.clear()
+    assert avoids_block(plane, 2, 3) and not avoids_block(plane, 0, 2)
+    assert reductions == [] and len(exact_ranks) == 3
 
 
 # Sparse integer entries like the simplex's: mostly 0 and +/-1.

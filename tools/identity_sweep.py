@@ -23,8 +23,10 @@ repeat an earlier row, some are integer combinations of earlier rows, and
 some add multiples of the prime P = 2^61 - 1 to an earlier row (or to 0),
 so that they are dependent only mod P.  Each records ``s.dim``, ``s``
 (its canonical basis), ``s.contains`` of every row, of 0 and of one more
-random row, and ``subspaces_intersect_trivially(s, t)``: rank questions
-on rows dependent mod P, which CLI calls seldom reach, take the exact path.
+random row, ``subspaces_intersect_trivially`` of (s, t) and of (t, s), and
+``avoids_block(s, a, b)`` for every block [a, b) of ``range(n)``: rank
+questions on rows dependent mod P, which CLI calls seldom reach, take the
+exact path, and the blocks holding no pivot of s's echelon mod P take none.
 Each checkout's ``src/`` is imported by its own subprocess, which runs
 ``sigmafp.cli.main`` in-process on every CLI call and records the exit
 code, stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.
@@ -172,16 +174,19 @@ def seeded_rows(seed: int) -> tuple[int, list, list]:
 
 
 def subspace_questions(seed: int) -> tuple:
-    """s's dimension and canonical form, membership of each probe, and
-    whether s meets t only in 0."""
-    from sigmafp.linalg import Subspace, subspaces_intersect_trivially, vector
+    """s's dimension and canonical form, membership of each probe, whether
+    s meets t only in 0 (asked both ways), and whether s meets each
+    coordinate block only in 0."""
+    from sigmafp.linalg import Subspace, avoids_block, subspaces_intersect_trivially, vector
 
     n, s_rows, t_rows = seeded_rows(seed)
     s, t = Subspace.span(s_rows, ambient_dim=n), Subspace.span(t_rows, ambient_dim=n)
     rnd = random.Random(-seed - 1)
     probes = [*s_rows, *t_rows, [0] * n, [rnd.randint(-3, 3) for _ in range(n)]]
+    blocks = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
     return (s.dim, s, tuple(s.contains(vector(v)) for v in probes),
-            subspaces_intersect_trivially(s, t))
+            subspaces_intersect_trivially(s, t), subspaces_intersect_trivially(t, s),
+            tuple(avoids_block(s, a, b) for a, b in blocks))
 
 
 def worker(calls_file: str) -> None:
