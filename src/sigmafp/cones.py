@@ -315,16 +315,18 @@ class _CompiledUnion:
 
 
 class _Scan:
-    """One subspace against one compiled union; each piece's outcome is
-    decided at most once.
+    """One subspace against one union's compiled pieces, both of one
+    ambient dimension; each piece's outcome is decided at most once.
 
     An outcome is None when the piece meets w only in 0, the witness when a
     non-pointed piece meets w, and K G when a pointed piece's slice LP is
     feasible: that piece meets w, and its witness is named only if needed.
     """
 
-    def __init__(self, compiled: _CompiledUnion, w: Subspace):
-        self.compiled = compiled
+    def __init__(self, u: ConeUnion, w: Subspace):
+        if u.ambient_dim != w.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        self.compiled = u._compiled
         self.w = w
         self.k: Optional[Matrix] = None
         self.outcomes: dict[int, object] = {}
@@ -370,13 +372,10 @@ def union_meets_subspace(u: ConeUnion, w: Subspace) -> Optional[IntersectionWitn
     meets w.  Its normalised scan (coordinate, then + before -) fixes the
     witness deterministically.
     """
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    compiled = u._compiled
-    scan = _Scan(compiled, w)
+    scan = _Scan(u, w)
     if not scan.maximal_piece_meets():
         return None
-    for piece in compiled.pieces:
+    for piece in scan.compiled.pieces:
         witness = scan.witness(piece)
         if witness is not None:
             return witness
@@ -391,9 +390,7 @@ def union_avoids_subspace(u: ConeUnion, w: Subspace) -> bool:
     The verdict of `union_meets_subspace` without its witness: it stops at
     the maximal pieces, so a union that meets w costs no second scan.
     """
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return not _Scan(u._compiled, w).maximal_piece_meets()
+    return not _Scan(u, w).maximal_piece_meets()
 
 
 def union_is_tame(u: ConeUnion) -> bool:

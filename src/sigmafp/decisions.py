@@ -199,8 +199,8 @@ def openness_certificate(
     d / (2 l R0) is a sound bound.  The virtual-subdirect margin bounds, per
     block, the drift of a nonvanishing minor of the basis off that block.
     Errors take precedence in the order NotVirtualSubdirect,
-    NotFinitelyPresented, NonPointedPiece; at d = 0 the exact FP decision
-    picks between the last two.
+    NotFinitelyPresented, NonPointedPiece; at d = 0 the FP verdict picks
+    between the last two.
     """
     _require_vsp(pt, p)
     l = pt.subspace.dim
@@ -209,7 +209,7 @@ def openness_certificate(
     for idx, piece in enumerate(gamma.pieces):
         dist = _slice_distance(piece, pt.subspace)
         if dist == 0:
-            if not is_finitely_presented(pt, gamma, p).finitely_presented:
+            if not union_avoids_subspace(gamma, pt.subspace):
                 raise NotFinitelyPresented(_NOT_FP)
             raise NonPointedPiece(
                 "a piece of Gamma contains a line; no perturbation certificate "
@@ -529,11 +529,7 @@ def construct_nonfp_box(p: ProductSpace, gamma: ConeUnion, k: int) -> NonFpBox:
     samples are drawn from the box, resampled if not virtual subdirect, and
     each verified non-FP.
     """
-    if not p.max_rank <= k <= p.total_dim:
-        raise ValueError(
-            f"k must satisfy {p.max_rank} <= k <= {p.total_dim}, got {k}"
-        )
-    if union_dim(gamma) <= k:
+    if theorem_a_applicable(p, gamma, k):
         raise TheoremAApplies(
             "dim(Gamma) <= k: non-FP points form no open set (they lie in a "
             "proper subvariety)"
@@ -588,12 +584,10 @@ def _measure_chunk(args) -> tuple[int, int]:
     vsp_failures = 0
     nonfp = 0
     for index in range(start, stop):
-        try:
-            decision = is_finitely_presented(sample_point(p, k, seed, index), gamma, p)
-        except NotVirtualSubdirect:
+        pt = sample_point(p, k, seed, index)
+        if not is_virtual_subdirect(pt, p):
             vsp_failures += 1
-            continue
-        if not decision.finitely_presented:
+        elif not union_avoids_subspace(gamma, pt.subspace):
             nonfp += 1
     return vsp_failures, nonfp
 

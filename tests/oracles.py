@@ -159,6 +159,49 @@ def cones_meet_oracle(a, b) -> bool:
     return False
 
 
+def _kernel(columns):
+    """A basis of {x : sum_j x_j columns[j] = 0}, by local Gauss-Jordan
+    elimination over Fraction; each basis vector is 1 at its free column."""
+    m = len(columns)
+    work = [[Fraction(col[r]) for col in columns] for r in range(len(columns[0]))]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * a for a in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        v = [ZERO] * m
+        v[free] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][free]
+        basis.append(v)
+    return basis
+
+
+def cone_contains_line_oracle(c) -> bool:
+    """A cone contains a line iff a positive combination of some generators
+    is 0.  The support of a minimal such combination is a circuit: 2 to
+    dim + 1 generators whose kernel is one-dimensional and spanned by a
+    vector of one strict sign (positive, as its free entry is 1)."""
+    gens = list(c.generators)
+    for size in range(2, min(len(gens), c.ambient_dim + 1) + 1):
+        for subset in combinations(gens, size):
+            kernel = _kernel(subset)
+            if len(kernel) == 1 and all(x > 0 for x in kernel[0]):
+                return True
+    return False
+
+
 def piece_meets_subspace_oracle(piece, w_rows) -> bool:
     """Nonzero piece point inside span(w_rows), decided without kernels.
 

@@ -139,6 +139,8 @@ def test_usage_error_exit_code(f1, capsys):
     assert run(capsys, ["nonexistent-command"])[0] == 1
     # k out of range inside the library surfaces as usage
     assert run(capsys, ["nonfp-witness", f1, "--k", "5"])[0] == 1
+    assert run(capsys, ["nonfp-box", f1, "--k", "3"]) == (
+        1, "", "usage error: k must satisfy 1 <= k <= 2, got 3\n")
 
 
 def test_refusal_exit_code(f1, tmp_path, capsys):

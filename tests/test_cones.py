@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cones_meet_oracle, union_meets_subspace_oracle
+from oracles import cone_contains_line_oracle, cones_meet_oracle, union_meets_subspace_oracle
 from sigmafp import cones, lp
 from sigmafp.cones import (
     canonical_ray,
@@ -17,6 +17,7 @@ from sigmafp.cones import (
     cone_union,
     cones_meet_nontrivially,
     piece_subspace_lps,
+    union_avoids_subspace,
     union_dim,
     union_is_tame,
     union_meets_subspace,
@@ -266,8 +267,9 @@ def test_dim_mismatch_errors():
         cone_sum(cone([(1, 0)]), cone([(1, 0, 0)]))
     with pytest.raises(ValueError):
         cones_meet_nontrivially(cone([(1, 0)]), cone([(1, 0, 0)]))
-    with pytest.raises(ValueError):
-        union_meets_subspace(cone_union([cone([(1, 0)])]), Subspace.span([[1, 0, 0]]))
+    for decide in (union_meets_subspace, union_avoids_subspace):
+        with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+            decide(cone_union([cone([(1, 0)])]), Subspace.span([[1, 0, 0]]))
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -306,7 +308,14 @@ def test_cone_sum_contains_pairwise_sums(pair):
     for x in a.generators[:2]:
         for y in b.generators[:2]:
             assert cone_contains(s, tuple(p + q for p, q in zip(x, y)))
-    assert cone_contains_line(s) == cones_meet_oracle(s, cone_neg(s))
+    assert cone_contains_line(s) == cone_contains_line_oracle(s)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: cones_strategy(d)))
+@settings(max_examples=40, deadline=None)
+def test_line_oracle_agrees_with_antipodal_meet_oracle(c):
+    # A cone of at most 3 generators keeps the subset enumeration cheap.
+    assert cone_contains_line_oracle(c) == cones_meet_oracle(c, cone_neg(c))
 
 
 @st.composite

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sigmafp import decisions, linalg
+from sigmafp import cones, decisions, linalg
 from sigmafp.cones import (
     ConeUnion,
     cone,
@@ -241,6 +241,24 @@ def test_certificate_requires_fp():
         openness_certificate(line_point(1, 1), gamma, p)
 
 
+def test_certificate_refuses_nonfp_point_by_verdict_alone(monkeypatch):
+    # The zero slice distance is settled by the verdict: no witness is named
+    # and the vsp test at the top is the only one.
+    p, gamma = f1_setup()
+    calls = Counter()
+    for module, name in ((cones, "_first_witness"), (decisions, "is_virtual_subdirect")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    with pytest.raises(NotFinitelyPresented):
+        openness_certificate(line_point(1, 1), gamma, p)
+    assert calls == {"is_virtual_subdirect": 1}
+
+
 def test_certificate_perturbations_sound_f1():
     p, gamma = f1_setup()
     pt = line_point(1, -1)
@@ -458,6 +476,14 @@ def test_nonfp_box_refused_when_dim_small():
         construct_nonfp_box(f2, gamma2, 4)
 
 
+def test_nonfp_box_rejects_k_outside_the_rank_range():
+    p, gamma = f1_setup()
+    for k in (0, 3):
+        with pytest.raises(ValueError) as caught:
+            construct_nonfp_box(p, gamma, k)
+        assert str(caught.value) == f"k must satisfy 1 <= k <= 2, got {k}"
+
+
 def test_box_point_validates_range():
     p, gamma = f1_setup()
     box = construct_nonfp_box(p, gamma, 1)
@@ -541,6 +567,21 @@ def test_measure_both_verdicts_occur_on_f1():
     p, _ = f1_setup()
     report = run_measure_experiment(p, k=1, samples=200, seed=42)
     assert 0 < report.nonfp_count < 200
+
+
+def test_measure_counts_nonfp_verdicts_without_naming_witnesses(monkeypatch):
+    p, _ = f1_setup()
+    witnesses = []
+    real_witness = cones._first_witness
+
+    def counting_witness(*args):
+        witnesses.append(args)
+        return real_witness(*args)
+
+    monkeypatch.setattr(cones, "_first_witness", counting_witness)
+    report = run_measure_experiment(p, k=1, samples=200, seed=42)
+    assert report.nonfp_count > 0
+    assert witnesses == []
 
 
 def test_compiled_state_stays_out_of_equality_hash_repr_and_pickles():

@@ -327,10 +327,11 @@ def test_general_lps_match_vertex_oracle(monkeypatch):
 
 def test_measure_rows_keep_their_simplex_pivots(simplex_pivots):
     # The LPs `measure` builds have no row that starts on its slack, so the
-    # slack start leaves their pivot sequences exactly as they were.
+    # slack start leaves their pivot sequences exactly as they were.  They
+    # are the maximal pieces' slice LPs; `measure` names no witness.
     for fixture, k in (("f1", 1), ("f2", 4), ("f3", 1), ("f4", 2), ("f4", 3)):
         run_measure_experiment(load_fixture(fixture), k, 200, 42)
-    assert simplex_pivots[0] == 1663
+    assert simplex_pivots[0] == 1165
 
 
 def dense_verify_farkas(problem, mult):

@@ -27,6 +27,14 @@ random row, ``subspaces_intersect_trivially`` of (s, t) and of (t, s), and
 ``avoids_block(s, a, b)`` for every block [a, b) of ``range(n)``: rank
 questions on rows dependent mod P, which CLI calls seldom reach, take the
 exact path, and the blocks holding no pivot of s's echelon mod P take none.
+Then one library call per seeded sampled point: 200 products of
+``seeded_union(seed)`` with a rank-1 factor whose cone data is one ray, each
+at ``sample_point(p, p.max_rank, seed, 0)``, recording ``repr`` of its
+``openness_certificate`` or the class and message of the error that refuses
+it.  The CLI certifies FP points only, and a tame FP point never has a Γ
+piece at slice distance 0; these points, often of untame data, reach the
+certificate's verdict at distance 0, which refuses them as not FP or as
+holding a non-pointed piece.
 Each checkout's ``src/`` is imported by its own subprocess, which runs
 ``sigmafp.cli.main`` in-process on every CLI call and records the exit
 code, stdout and stderr; ``elapsed_ms`` in ``measure`` reports is zeroed.
@@ -61,6 +69,8 @@ UNION_TAME = "union_is_tame"
 UNION_COUNT = 500
 SUBSPACE = "subspace"
 SUBSPACE_COUNT = 500
+CERTIFICATE = "openness_certificate"
+CERTIFICATE_COUNT = 200
 P = (1 << 61) - 1
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9]+')
 
@@ -93,10 +103,12 @@ def measure_calls() -> list[list[str]]:
 
 
 def library_calls() -> list[list[str]]:
-    """One library call per seeded LP, union and row set: its name and seed."""
+    """One library call per seeded LP, union, row set and sampled point: its
+    name and seed."""
     return ([[LP_SOLVE, str(seed)] for seed in range(LP_COUNT)]
             + [[UNION_TAME, str(seed)] for seed in range(UNION_COUNT)]
-            + [[SUBSPACE, str(seed)] for seed in range(SUBSPACE_COUNT)])
+            + [[SUBSPACE, str(seed)] for seed in range(SUBSPACE_COUNT)]
+            + [[CERTIFICATE, str(seed)] for seed in range(CERTIFICATE_COUNT)])
 
 
 def seeded_lp(seed: int):
@@ -189,13 +201,33 @@ def subspace_questions(seed: int) -> tuple:
             tuple(avoids_block(s, a, b) for a, b in blocks))
 
 
+def certificate(seed: int) -> object:
+    """The openness certificate of one sampled point of the product of
+    `seeded_union(seed)` with a rank-1 single-ray factor, or the class and
+    message of the error that refuses it."""
+    from sigmafp.cones import cone, cone_union
+    from sigmafp.decisions import openness_certificate
+    from sigmafp.errors import SigmaFpError
+    from sigmafp.grassmann import sample_point
+    from sigmafp.product import assemble_sigma, build_gamma, factor_spec, product_space
+
+    u = seeded_union(seed)
+    p = product_space([factor_spec("a", u.ambient_dim, u),
+                       factor_spec("b", 1, cone_union([cone([(1,)])]))])
+    pt = sample_point(p, p.max_rank, seed, 0)
+    try:
+        return openness_certificate(pt, build_gamma(assemble_sigma(p)), p)
+    except SigmaFpError as e:
+        return type(e).__name__, str(e)
+
+
 def worker(calls_file: str) -> None:
     """Run every call on the sigmafp that PYTHONPATH names; one JSON line each."""
     import sigmafp.cli
     from sigmafp import lp
 
     library = {LP_SOLVE: lambda seed: lp.solve(seeded_lp(seed)), UNION_TAME: tameness,
-               SUBSPACE: subspace_questions}
+               SUBSPACE: subspace_questions, CERTIFICATE: certificate}
     for argv in json.loads(Path(calls_file).read_text()):
         if argv[0] in library:
             print(json.dumps([argv, 0, repr(library[argv[0]](int(argv[1]))), ""]))
