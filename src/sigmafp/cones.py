@@ -47,10 +47,11 @@ from .linalg import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Ray = tuple[int, ...]  # a canonical ray: coprime ints
 
 
-def canonical_ray(v) -> Vector:
-    """The unique positive rescaling of v with coprime integer coordinates.
+def canonical_ray(v) -> Ray:
+    """The unique positive rescaling of v, as a tuple of coprime `int`s.
 
     Only positive scalings are applied, so a ray and its negative stay
     distinct.  Zero vectors are rejected (rays are nonzero by definition).
@@ -60,20 +61,20 @@ def canonical_ray(v) -> Vector:
         raise ValueError("zero vector is not a ray")
     ints = integer_rows((w,))[0]
     g = gcd(*ints)
-    return tuple(Fraction(a, g) for a in ints)
+    return tuple(a // g for a in ints)
 
 
 @dataclass(frozen=True)
 class ConvexCone:
     """Cone of all nonnegative combinations of the stored generator rays.
 
-    Generators are canonical, deduplicated, and sorted, so equal cones given
-    by rescaled or reordered generators compare equal.  An empty generator
-    tuple denotes the zero cone {0}.
+    Generators are canonical (coprime `int` tuples), deduplicated, and
+    sorted, so equal cones given by rescaled or reordered generators
+    compare equal.  An empty generator tuple denotes the zero cone {0}.
     """
 
     ambient_dim: int
-    generators: tuple[Vector, ...]
+    generators: tuple[Ray, ...]
 
 
 def cone(generators: Iterable, ambient_dim: int | None = None) -> ConvexCone:
@@ -139,14 +140,14 @@ class IntersectionWitness:
     the ray is stored in canonical form.
     """
 
-    ray: Vector
+    ray: Ray
     piece_index: int
     coefficients: Vector
 
 
 def _generator_matrix(c: ConvexCone) -> Matrix:
-    # Columns are generators: (G lam)_i = sum_j lam_j g_j[i].  The entries
-    # are already Fractions, so the transpose is taken as is.
+    # Columns are generators: (G lam)_i = sum_j lam_j g_j[i].  The entries are
+    # the rays' ints; products with `Fraction`s and `lp.constraint` convert them.
     rows = tuple(zip(*c.generators)) if c.generators else ((),) * c.ambient_dim
     return Matrix(c.ambient_dim, len(c.generators), rows)
 
@@ -158,9 +159,8 @@ def _generator_matrix(c: ConvexCone) -> Matrix:
 # at 1024.
 @lru_cache(maxsize=64)
 def _cone_span(c: ConvexCone) -> Subspace:
-    # `span` keeps the generators (canonical rays are integer rows) whenever
-    # they are independent mod P.
-    return Subspace.span(c.generators, ambient_dim=c.ambient_dim)
+    # Canonical rays are integer rows, kept as they are when independent mod P.
+    return Subspace.of_integer_rows(c.ambient_dim, c.generators)
 
 
 def cone_contains(c: ConvexCone, x) -> bool:

@@ -23,6 +23,7 @@ from .cones import (
     ConeUnion,
     ConvexCone,
     IntersectionWitness,
+    Ray,
     canonical_ray,
     cone,
     cone_contains_line,
@@ -140,10 +141,10 @@ def _slice_distance(piece: ConvexCone, w: Subspace) -> Fraction:
     t_col = g + l
     constraints = [lp.constraint([ONE] * g + [ZERO] * (l + 1), lp.EQ, ONE)]
     for c in range(n):
-        row = [gen[c] for gen in piece.generators]
-        row += [-w.basis.entries[r][c] for r in range(l)]
-        constraints.append(lp.constraint(row + [-ONE], lp.LE, ZERO))
-        constraints.append(lp.constraint(row + [ONE], lp.GE, ZERO))
+        row = vector(gen[c] for gen in piece.generators)  # once for both rows below
+        row += tuple(-w.basis.entries[r][c] for r in range(l))
+        constraints.append(lp.constraint(row + (-ONE,), lp.LE, ZERO))
+        constraints.append(lp.constraint(row + (ONE,), lp.GE, ZERO))
     objective = tuple(ZERO for _ in range(t_col)) + (ONE,)
     problem = lp.LinearProgram(
         num_vars=t_col + 1,
@@ -233,23 +234,23 @@ def openness_certificate(
 # --- construction of an FP point for two factors of equal rank ------------
 
 
-def _half(v: Vector) -> int:
+def _half(v: Ray) -> int:
     return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
 
 
-def _cross(u: Vector, v: Vector) -> Fraction:
+def _cross(u: Ray, v: Ray) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _rot90(v: Vector) -> Vector:
+def _rot90(v: Ray) -> Ray:
     return (-v[1], v[0])
 
 
-def _angular_sort(dirs: set[Vector]) -> list[Vector]:
+def _angular_sort(dirs: set[Ray]) -> list[Ray]:
     # Counterclockwise from the positive x-axis; exact, no floats.
     import functools
 
-    def cmp(u: Vector, v: Vector) -> int:
+    def cmp(u: Ray, v: Ray) -> int:
         hu, hv = _half(u), _half(v)
         if hu != hv:
             return -1 if hu < hv else 1
@@ -259,7 +260,7 @@ def _angular_sort(dirs: set[Vector]) -> list[Vector]:
     return sorted(dirs, key=functools.cmp_to_key(cmp))
 
 
-def _avoiding_directions(sigma: ConeUnion) -> Iterator[Vector]:
+def _avoiding_directions(sigma: ConeUnion) -> Iterator[Ray]:
     """Verified directions v with span{v} meeting the union only in 0.
 
     The bad directions form finitely many closed angular sectors bounded by
@@ -268,14 +269,14 @@ def _avoiding_directions(sigma: ConeUnion) -> Iterator[Vector]:
     non-parallel interior candidates, each verified exactly: its span meets
     the union only in 0.  Tameness guarantees at least one good gap exists.
     """
-    dirs: set[Vector] = set()
+    dirs: set[Ray] = set()
     for piece in sigma.pieces:
         for g in piece.generators:
             dirs.add(g)
             dirs.add(canonical_ray(vec_neg(g)))
     if not dirs:
-        yield vector((1, 0))
-        yield vector((0, 1))
+        yield (1, 0)
+        yield (0, 1)
         return
     ordered = _angular_sort(dirs)
     n = len(ordered)
@@ -332,8 +333,8 @@ class RhoConstruction:
     verified: bool
     point: SubspacePoint
     method: str
-    v1: Optional[Vector] = None
-    v2: Optional[Vector] = None
+    v1: Optional[Ray] = None
+    v2: Optional[Ray] = None
     eps1: Optional[Fraction] = None
     eps2: Optional[Fraction] = None
     lam: Optional[Fraction] = None

@@ -1,13 +1,13 @@
 """Exact rational linear algebra: vectors, matrices, RREF, kernels, subspaces.
 
-Every coordinate is a `fractions.Fraction`, so ranks, kernels, and equality
-tests are exact.  A subspace is kept on linearly independent integer rows
-(rows scaled by the lcm of their denominators), and there is one way to
-build one, `Subspace.of_integer_rows`.  Its dimension, membership and every
-rank question are answered on those rows, whatever basis they form.  Its
-reduced row-echelon basis is canonical (two subspaces are equal iff those
-bases are entry-wise equal), and only a read of `basis` or `pivot_columns`
-builds it in `Fraction`s.
+Every coordinate is a `fractions.Fraction`, or an `int` in a cone's rays, so
+ranks, kernels, and equality tests are exact.  A subspace is kept on linearly
+independent integer rows (rows scaled by the lcm of their denominators), and
+there is one way to build one, `Subspace.of_integer_rows`.  Its dimension,
+membership and every rank question are answered on those rows, whatever
+basis they form.  Its reduced row-echelon basis is canonical (two subspaces
+are equal iff those bases are entry-wise equal), and only a read of `basis`
+or `pivot_columns` builds it in `Fraction`s.
 
 One row operation, `pivot`, is the whole of Gauss-Jordan elimination in the
 package: it is the inner step of `_eliminate`, behind `rref`, `det`,

@@ -91,12 +91,8 @@ def block_subspace(p: ProductSpace, i: int) -> Subspace:
     """Factor i's coordinate block as a subspace: public API, the tests' vsp
     reference and a traced function of the benchmark.  No decision calls it."""
     start, stop = p.blocks[i]
-    rows = []
-    for c in range(start, stop):
-        row = [Fraction(0)] * p.total_dim
-        row[c] = Fraction(1)
-        rows.append(row)
-    return Subspace.span(rows, ambient_dim=p.total_dim)
+    rows = [[int(c == j) for j in range(p.total_dim)] for c in range(start, stop)]
+    return Subspace.of_integer_rows(p.total_dim, rows)
 
 
 def assemble_sigma(p: ProductSpace) -> ConeUnion:
@@ -114,20 +110,16 @@ def assemble_sigma(p: ProductSpace) -> ConeUnion:
 
 
 def build_gamma(sigma: ConeUnion) -> ConeUnion:
-    """All pairwise sums of pieces of sigma (including a piece with itself).
+    """All pairwise sums of pieces of sigma (including a piece with itself),
+    each once, in the order first met.
 
     Subsumed pieces are kept, so piece indices and the `gamma` listing name
     every pairwise sum, but deciding Gamma cap S = {0} skips them: a piece
     whose generators are a strict subset of another's meets S only if that
     other piece does (see `union_meets_subspace`).
     """
-    pieces: list[ConvexCone] = []
-    for i, a in enumerate(sigma.pieces):
-        for b in sigma.pieces[i:]:
-            s = cone_sum(a, b)
-            if s not in pieces:
-                pieces.append(s)
-    return cone_union(pieces, ambient_dim=sigma.ambient_dim)
+    sums = (cone_sum(a, b) for i, a in enumerate(sigma.pieces) for b in sigma.pieces[i:])
+    return cone_union(list(dict.fromkeys(sums)), ambient_dim=sigma.ambient_dim)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ F = Fraction
 def test_canonical_ray():
     assert canonical_ray([F(2, 3), F(-4, 3)]) == (F(1), F(-2))
     assert canonical_ray([-2, 0, -4]) == (F(-1), F(0), F(-2))
+    for v in ([F(2, 3), F(-4, 3)], [-2, 0, -4], (F(5), F(0)), [F(-1, 7)]):
+        assert all(type(a) is int for a in canonical_ray(v))
     with pytest.raises(ValueError):
         canonical_ray([0, 0])
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from sigmafp.cones import (
     union_is_tame,
 )
 from sigmafp.decisions import (
+    FpDecision,
     box_point,
     construct_nonfp_box,
     construct_nonfp_witness,
@@ -33,7 +36,7 @@ from sigmafp.errors import (
     UnsupportedRank,
 )
 from sigmafp.formats import load_fixture
-from sigmafp.grassmann import is_virtual_subdirect, subspace_point
+from sigmafp.grassmann import is_virtual_subdirect, sample_point, subspace_point
 from sigmafp.linalg import Matrix, Subspace
 from sigmafp.product import (
     ProductSpace,
@@ -622,3 +625,43 @@ def test_measure_hashes_unions_and_products_a_fixed_number_of_times(monkeypatch)
         run_measure_experiment(load_fixture("f1"), k=1, samples=samples, seed=5)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+def _leaves(value, path="result"):
+    """(path, leaf) for every leaf of a result: dataclass fields, containers,
+    and a subspace's rows and canonical basis."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, Subspace):
+        yield from _leaves((value._integers, value.basis, value.pivot_columns), path)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for i, x in enumerate(value):
+            yield from _leaves(x, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+def test_results_hold_no_float_and_every_ray_is_ints(name):
+    p = load_fixture(name)
+    gamma = build_gamma(assemble_sigma(p))
+    results = [p, gamma]
+    for k in range(p.max_rank, p.total_dim):
+        points = [sample_point(p, k, 7, i) for i in range(4)] + [construct_nonfp_witness(p, k)]
+        for pt in (pt for pt in points if is_virtual_subdirect(pt, p)):
+            decision = is_finitely_presented(pt, gamma, p)
+            results.append(decision)
+            if decision.finitely_presented:
+                with contextlib.suppress(NonPointedPiece):
+                    results.append(openness_certificate(pt, gamma, p))
+        with contextlib.suppress(TheoremAApplies):
+            results.append(construct_nonfp_box(p, gamma, k))
+        results.append(run_measure_experiment(p, k, samples=20, seed=7))
+    with contextlib.suppress(ValueError, UnsupportedRank):
+        results.append(construct_rho(p))
+    assert any(isinstance(r, FpDecision) and r.witness for r in results)
+    for path, leaf in _leaves(results):
+        assert type(leaf) is not float, path
+        if re.search(r"\.(generators|ray|v1|v2)\[", path):
+            assert type(leaf) is int, path

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from sigmafp.cones import (
     cone,
     cone_contains,
     cone_contains_line,
+    cone_sum,
     cone_union,
     union_dim,
 )
@@ -75,6 +77,32 @@ def test_build_gamma_covers_pairwise_sums():
     assert cone([(1, 0), (0, 1)]) in gamma.pieces
     assert cone([(1, 0)]) in gamma.pieces
     assert cone([(0, 1)]) in gamma.pieces
+
+
+def test_build_gamma_keeps_the_list_scan_order_at_scale():
+    # 3 factors of rank 3, 8 pieces each of 1-3 generators with entries in
+    # [0, 4]; an all-zero generator gets a 1 in its first entry.
+    rng = random.Random(1)
+
+    def generator():
+        g = [rng.randint(0, 4) for _ in range(3)]
+        return g if any(g) else [1] + g[1:]
+
+    factors = []
+    for name in "abc":
+        pieces = [cone([generator() for _ in range(rng.randint(1, 3))], ambient_dim=3)
+                  for _ in range(8)]
+        factors.append(factor_spec(name, 3, cone_union(pieces, ambient_dim=3)))
+    sigma = assemble_sigma(product_space(factors))
+    listed = []
+    for i, a in enumerate(sigma.pieces):
+        for b in sigma.pieces[i:]:
+            s = cone_sum(a, b)
+            if s not in listed:
+                listed.append(s)
+    gamma = build_gamma(sigma)
+    assert (len(sigma.pieces), len(gamma.pieces)) == (24, 299)
+    assert gamma.pieces == tuple(listed)
 
 
 def test_build_gamma_single_piece_idempotent():
